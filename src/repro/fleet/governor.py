@@ -33,33 +33,20 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..analysis.battery import BatteryState
-from ..engine.schedule import DeploymentPlan, LayerPlan
+from ..engine.schedule import DeploymentPlan
 from ..errors import PowerModelError, ReproError, SensorReadError
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..optimize.mckp import MCKPItem, reprice_classes
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
-from ..power.energy import EnergyInterval
-from ..power.model import PowerState
 from ..power.sensor import INA219Config
+from .pricing import EpochPricer
 from .variation import DeviceProfile
 
 #: Sentinel distinguishing "use the governor's own fault clock" from an
 #: explicit per-step override (including an explicit ``None``).
 _UNSET = object()
-
-#: Power states that carry the MCU leakage term (and therefore the
-#: thermal excess); gated/deep-sleep states power the leaky domains
-#: down.
-LEAKY_STATES = frozenset(
-    {
-        PowerState.ACTIVE_COMPUTE,
-        PowerState.ACTIVE_MEMORY,
-        PowerState.IDLE,
-        PowerState.SWITCHING,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -213,54 +200,6 @@ class GovernorResult:
         return sum(1 for s in self.samples if s.met_qos)
 
 
-def clamp_plan_to_cap(
-    plan: DeploymentPlan, cap_hz: float, hfo_configs
-) -> "tuple[DeploymentPlan, bool]":
-    """Force every over-cap layer onto the fastest supplied HFO.
-
-    This is what the hardware would do: the regulator cannot hold the
-    VOS scale the plan asked for, so the runtime falls back to the
-    fastest configuration the rail supports (and the schedule slows
-    down accordingly -- possibly past its budget, which is the
-    governor's re-plan trigger).
-    """
-    if all(
-        lp.hfo.sysclk_hz <= cap_hz for lp in plan.layer_plans.values()
-    ):
-        return plan, False
-    allowed = [c for c in hfo_configs if c.sysclk_hz <= cap_hz]
-    if not allowed:
-        # The rail sagged below even the slowest HFO (deep brownout).
-        # Run at the slowest grid point rather than crashing: the
-        # window will miss its budget, which is exactly the re-plan /
-        # QoS-miss signal the governor acts on.
-        allowed = [min(hfo_configs, key=lambda c: c.sysclk_hz)]
-    fastest = max(allowed, key=lambda c: c.sysclk_hz)
-    clamped_plans = {}
-    for node_id, lp in plan.layer_plans.items():
-        if lp.hfo.sysclk_hz <= cap_hz:
-            clamped_plans[node_id] = lp
-        else:
-            clamped_plans[node_id] = LayerPlan(
-                node_id=lp.node_id,
-                granularity=lp.granularity,
-                hfo=fastest,
-                predicted_latency_s=lp.predicted_latency_s,
-                predicted_energy_j=lp.predicted_energy_j,
-            )
-    return (
-        DeploymentPlan(
-            model_name=plan.model_name,
-            lfo=plan.lfo,
-            layer_plans=clamped_plans,
-            qos_s=plan.qos_s,
-            predicted_latency_s=plan.predicted_latency_s,
-            predicted_energy_j=plan.predicted_energy_j,
-        ),
-        True,
-    )
-
-
 class FleetGovernor:
     """Supervises one device's deployed plan across telemetry epochs.
 
@@ -289,6 +228,7 @@ class FleetGovernor:
         self.optimized = optimized
         self.config = config or GovernorConfig()
         self.fault_clock = fault_clock
+        self._pricer = EpochPricer(pipeline, model)
         node_ids = sorted(optimized.pareto_fronts)
         #: Device-priced MCKP classes rebuilt from the cached fronts;
         #: every re-plan re-prices THESE -- exploration never re-runs.
@@ -467,8 +407,6 @@ class FleetGovernor:
         thermal = self._thermal
         sensor = self._sensor
         sensor.fault_clock = fault
-        hfo_configs = self.pipeline.space.hfo_configs
-        runtime = self.pipeline.runtime
         epoch = self._epoch
         if now is None:
             now = epoch * cfg.epoch_s
@@ -479,17 +417,9 @@ class FleetGovernor:
             # The rail sags below nominal for this epoch: derate
             # the sustainable SYSCLK on top of the battery cap.
             cap_hz *= fault.plan.brownout_derate
-        exec_plan, clamped = clamp_plan_to_cap(
-            self._plan, cap_hz, hfo_configs
-        )
+        exec_plan, clamped = self._pricer.clamp(self._plan, cap_hz)
         try:
-            ref = runtime.run(
-                self.model,
-                exec_plan,
-                qos_s=budget,
-                initial_config=exec_plan.initial_config(),
-                fault_clock=fault,
-            )
+            window = self._pricer.window(exec_plan, budget, fault)
         except ReproError:
             # The window itself died (watchdog never made forward
             # progress, PLL never locked): a missed, invalid epoch.
@@ -521,34 +451,21 @@ class FleetGovernor:
             self._samples.append(sample)
             self._epoch += 1
             return sample
-        self._css_events += ref.css_events
-        self._watchdog_resets += ref.watchdog_resets
-        self._pll_retries += ref.pll_retries
+        self._css_events += window.css_events
+        self._watchdog_resets += window.watchdog_resets
+        self._pll_retries += window.pll_retries
         extra_w = (
             thermal.leakage_at(self._temperature) - thermal.leakage_ref_w
         )
-        # The window as the silicon actually burns it: leaky
-        # states carry the thermal excess on top of the calibrated
-        # model.
-        true_trace = [
-            EnergyInterval(
-                duration_s=iv.duration_s,
-                power_w=iv.power_w
-                + (extra_w if iv.state in LEAKY_STATES else 0.0),
-                category=iv.category,
-                label=iv.label,
-            )
-            for iv in ref.account.intervals
-        ]
-        true_energy = sum(iv.energy_j for iv in true_trace)
-        leaky_t = sum(
-            iv.duration_s
-            for iv in ref.account.intervals
-            if iv.state in LEAKY_STATES
-        )
+        # The window as the silicon actually burns it (raises
+        # TraceError if the excess drives an interval negative).
+        true_powers = window.true_powers(extra_w)
+        true_energy = window.true_energy_j(true_powers)
         telemetry_valid = True
         try:
-            train = sensor.measure(true_trace, start_time_s=now)
+            train = sensor.measure(
+                list(zip(window.durations, true_powers)), start_time_s=now
+            )
         except SensorReadError:
             train = []
             telemetry_valid = False
@@ -558,7 +475,7 @@ class FleetGovernor:
             # low, and a stuck power register reads as a perfectly
             # flat train.  (Guarded on fault mode: a nominal
             # sensor never produces either.)
-            total_t = sum(iv.duration_s for iv in true_trace)
+            total_t = sum(window.durations)
             covered = sensor.covered_duration_s(train)
             if covered < cfg.min_coverage * total_t:
                 telemetry_valid = False
@@ -566,7 +483,7 @@ class FleetGovernor:
                 {s.power_w for s in train}
             ) == 1:
                 telemetry_valid = False
-        predicted = ref.energy_j + self._compensated_w * leaky_t
+        predicted = window.energy_j + self._compensated_w * window.leaky_s
         if telemetry_valid:
             measured = sensor.estimate_energy(train)
             drift = (
@@ -578,9 +495,9 @@ class FleetGovernor:
             measured = 0.0
             drift = 0.0
             self._invalid_epochs += 1
-        window_s = ref.qos_s if ref.qos_s is not None else ref.latency_s
+        window_s = window.window_s
         avg_power = true_energy / window_s if window_s > 0 else 0.0
-        met = ref.met_qos
+        met = window.met_qos
 
         # Blind epochs widen the tolerance the next fresh
         # measurement is judged against (stale compensation would

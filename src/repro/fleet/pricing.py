@@ -19,16 +19,31 @@ moves power curves, not cycle counts; see
   durations are shared floats and the re-pricing calls the very same
   ``power(config, state)`` the direct path uses, a replayed report is
   bit-identical to a direct execution (pinned by test).
+* :class:`EpochPricer` -- the **priced window** a governor (or oracle
+  twin) prices every epoch from.  A device's plan almost never changes,
+  so it caches one entry: the reference window's scalars (energy,
+  latency, QoS window, met-QoS flag, fault counters), each interval's
+  duration, calibrated power and leaky-state flag, and the leaky time.
+  The key is ``(plan_signature(exec_plan), exec_plan.initial_config(),
+  budget, board.power_model)``; the :func:`clamp_plan_to_cap` result is
+  memoized for an unchanged ``(plan, cap_hz)``.  A hit only adds the
+  thermal excess on leaky intervals and sums in interval order, so it
+  is bit-identical to a fresh report.  Fault-injected epochs bypass
+  the cache.  The entry lives per governor, not on the shared runtime,
+  where never-reused fresh-QoS serve keys would pile up.
 
-Both caches are lock-protected with the compute-outside-the-lock /
-``setdefault`` publication discipline, so a thread pool of devices can
-hammer them concurrently: a duplicated computation costs time, never
-correctness, and all threads converge on one canonical entry.
+The two fleet-wide caches are lock-protected with the
+compute-outside-the-lock / ``setdefault`` publication discipline, so a
+thread pool of devices can hammer them concurrently: a duplicated
+computation costs time, never correctness, and all threads converge on
+one canonical entry.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock.configs import ClockConfig
@@ -41,12 +56,25 @@ from ..dse.explorer import (
 from ..dse.space import DesignSpace
 from ..engine.cost import TraceBuilder, TraceParams, model_fingerprint
 from ..engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
-from ..engine.schedule import DeploymentPlan
+from ..engine.schedule import DeploymentPlan, LayerPlan
+from ..errors import TraceError
 from ..mcu.board import Board
 from ..nn.graph import Model, Node
 from ..obs.registry import get_registry
 from ..power.energy import EnergyAccount
 from ..power.model import PowerState
+
+#: Power states that carry the MCU leakage term (and therefore the
+#: thermal excess); gated/deep-sleep states power the leaky domains
+#: down.
+LEAKY_STATES = frozenset(
+    {
+        PowerState.ACTIVE_COMPUTE,
+        PowerState.ACTIVE_MEMORY,
+        PowerState.IDLE,
+        PowerState.SWITCHING,
+    }
+)
 
 
 def plan_signature(plan: DeploymentPlan) -> Tuple:
@@ -424,3 +452,168 @@ class ReplayingRuntime(DVFSRuntime):
             watchdog_resets=record.watchdog_resets,
             pll_retries=record.pll_retries,
         )
+
+
+def clamp_plan_to_cap(
+    plan: DeploymentPlan, cap_hz: float, hfo_configs
+) -> "tuple[DeploymentPlan, bool]":
+    """Force every over-cap layer onto the fastest supplied HFO.
+
+    This is what the hardware would do: the regulator cannot hold the
+    VOS scale the plan asked for, so the runtime falls back to the
+    fastest configuration the rail supports (and the schedule slows
+    down accordingly -- possibly past its budget, which is the
+    governor's re-plan trigger).
+    """
+    if all(
+        lp.hfo.sysclk_hz <= cap_hz for lp in plan.layer_plans.values()
+    ):
+        return plan, False
+    allowed = [c for c in hfo_configs if c.sysclk_hz <= cap_hz]
+    if not allowed:
+        # The rail sagged below even the slowest HFO (deep brownout).
+        # Run at the slowest grid point rather than crashing: the
+        # window will miss its budget, which is exactly the re-plan /
+        # QoS-miss signal the governor acts on.
+        allowed = [min(hfo_configs, key=lambda c: c.sysclk_hz)]
+    fastest = max(allowed, key=lambda c: c.sysclk_hz)
+    clamped_plans = {}
+    for node_id, lp in plan.layer_plans.items():
+        if lp.hfo.sysclk_hz <= cap_hz:
+            clamped_plans[node_id] = lp
+        else:
+            clamped_plans[node_id] = LayerPlan(
+                node_id=lp.node_id,
+                granularity=lp.granularity,
+                hfo=fastest,
+                predicted_latency_s=lp.predicted_latency_s,
+                predicted_energy_j=lp.predicted_energy_j,
+            )
+    return (
+        DeploymentPlan(
+            model_name=plan.model_name,
+            lfo=plan.lfo,
+            layer_plans=clamped_plans,
+            qos_s=plan.qos_s,
+            predicted_latency_s=plan.predicted_latency_s,
+            predicted_energy_j=plan.predicted_energy_j,
+        ),
+        True,
+    )
+
+
+@dataclass(frozen=True)
+class PricedWindow:
+    """One executed QoS window, reduced to what epoch pricing reads
+    (no reference to the report, whose intervals can then be freed)."""
+
+    energy_j: float
+    latency_s: float
+    qos_s: Optional[float]
+    met_qos: bool
+    css_events: int
+    watchdog_resets: int
+    pll_retries: int
+    durations: Tuple[float, ...]
+    powers: Tuple[float, ...]  # calibrated, per interval
+    leaky: Tuple[bool, ...]  # interval state in LEAKY_STATES
+    leaky_s: float
+    min_leaky_power_w: float  # inf without leaky intervals
+
+    @classmethod
+    def of(cls, report: InferenceReport) -> "PricedWindow":
+        intervals = report.account.intervals
+        durations = tuple(iv.duration_s for iv in intervals)
+        powers = tuple(iv.power_w for iv in intervals)
+        leaky = tuple(iv.state in LEAKY_STATES for iv in intervals)
+        return cls(
+            energy_j=report.energy_j,
+            latency_s=report.latency_s,
+            qos_s=report.qos_s,
+            met_qos=report.met_qos,
+            css_events=report.css_events,
+            watchdog_resets=report.watchdog_resets,
+            pll_retries=report.pll_retries,
+            durations=durations,
+            powers=powers,
+            leaky=leaky,
+            leaky_s=sum(d for d, hot in zip(durations, leaky) if hot),
+            min_leaky_power_w=min(
+                (p for p, hot in zip(powers, leaky) if hot),
+                default=float("inf"),
+            ),
+        )
+
+    @property
+    def window_s(self) -> float:
+        """The accounting window: the QoS budget, else the latency."""
+        return self.qos_s if self.qos_s is not None else self.latency_s
+
+    def true_powers(self, extra_w: float) -> List[float]:
+        """Interval powers as the silicon burns them: leaky states carry
+        the thermal excess on top of the calibrated model.
+
+        Raises:
+            TraceError: the excess drives an interval below zero
+                (float addition is monotone, so the smallest leaky
+                power decides).
+        """
+        if self.min_leaky_power_w + extra_w < 0:
+            raise TraceError(
+                "interval power must be >= 0, got "
+                f"{self.min_leaky_power_w + extra_w}"
+            )
+        return [
+            p + (extra_w if hot else 0.0)
+            for p, hot in zip(self.powers, self.leaky)
+        ]
+
+    def true_energy_j(self, true_powers: Sequence[float]) -> float:
+        """Window energy at ``true_powers``, summed in interval order."""
+        return sum(map(mul, self.durations, true_powers))
+
+
+class EpochPricer:
+    """One governor's single-entry priced-window cache; the module
+    docstring says what it holds, its key and the fault bypass."""
+
+    def __init__(self, pipeline, model: Model):
+        self.pipeline = pipeline
+        self.model = model
+        self._clamp: Optional[Tuple] = None
+        self._key: Optional[Tuple] = None
+        self._window: Optional[PricedWindow] = None
+
+    def clamp(
+        self, plan: DeploymentPlan, cap_hz: float
+    ) -> "tuple[DeploymentPlan, bool]":
+        """:func:`clamp_plan_to_cap` on the pipeline's HFO grid."""
+        memo = self._clamp
+        if memo is None or memo[0] is not plan or memo[1] != cap_hz:
+            clamped = clamp_plan_to_cap(
+                plan, cap_hz, self.pipeline.space.hfo_configs
+            )
+            memo = self._clamp = (plan, cap_hz, *clamped)
+        return memo[2], memo[3]
+
+    def window(
+        self, exec_plan: DeploymentPlan, budget: float, fault_clock=None
+    ) -> PricedWindow:
+        """``exec_plan``'s priced window under ``budget``; raises what
+        the runtime raises (nothing is cached then)."""
+        runtime = self.pipeline.runtime
+        initial = exec_plan.initial_config()
+        key = (
+            plan_signature(exec_plan), initial, budget,
+            runtime.board.power_model,
+        )
+        if fault_clock is None and key == self._key:
+            return self._window
+        report = runtime.run(
+            self.model, exec_plan, qos_s=budget, initial_config=initial,
+            fault_clock=fault_clock,
+        )
+        window = PricedWindow.of(report)
+        if fault_clock is None:
+            self._key, self._window = key, window
+        return window

@@ -23,8 +23,11 @@ readings are not.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,12 +137,17 @@ class INA219Sensor:
         )
 
     def measure(
-        self, trace: Sequence[EnergyInterval], start_time_s: float = 0.0
+        self,
+        trace: Sequence[EnergyInterval] | Sequence[Tuple[float, float]],
+        start_time_s: float = 0.0,
     ) -> List[PowerSample]:
         """Sample a power trace.
 
         Args:
-            trace: ordered piecewise-constant power intervals.
+            trace: ordered piecewise-constant power intervals, either
+                :class:`EnergyInterval` objects or plain
+                ``(duration_s, power_w)`` pairs (the governor's priced
+                window hands over pairs; the reading is identical).
             start_time_s: absolute time at which the trace begins; the
                 thermal drift is a function of absolute time, so two
                 traces measured at different times see different drift.
@@ -167,34 +175,39 @@ class INA219Sensor:
         stuck = fault is not None and fault.sensor_stuck()
         stuck_power: float | None = None
         cfg = self.config
-        total = sum(interval.duration_s for interval in trace)
+        if trace and isinstance(trace[0], EnergyInterval):
+            trace = [(iv.duration_s, iv.power_w) for iv in trace]
+        durations = [d for d, _ in trace]
+        powers = [p for _, p in trace]
+        total = sum(durations)
         # Ceil with an epsilon so an exact multiple of the period does
         # not grow a phantom sample out of float dust (0.05 / 1e-3 is
         # 50.000000000000007 in binary floats).
         n_samples = max(1, math.ceil(total / cfg.sample_period_s - 1e-9))
         samples: List[PowerSample] = []
-        # Cumulative boundaries and energies so each conversion window
-        # can integrate the trace in O(1) amortized.
-        boundaries: List[float] = []
-        prefix_energy: List[float] = [0.0]
-        acc_t = 0.0
-        acc_e = 0.0
-        for interval in trace:
-            acc_t += interval.duration_s
-            acc_e += interval.duration_s * interval.power_w
-            boundaries.append(acc_t)
-            prefix_energy.append(acc_e)
+        # Cumulative boundaries and energies (left folds, in trace
+        # order) so each conversion window can integrate the trace in
+        # O(1) amortized.
+        boundaries = list(accumulate(durations, initial=0.0))[1:]
+        prefix_energy = list(
+            accumulate(map(mul, durations, powers), initial=0.0)
+        )
+        last = len(boundaries) - 1
         idx = 0
 
         def energy_to(t: float) -> float:
             """Trace energy over [0, t] (t never decreases across calls)."""
             nonlocal idx
-            while idx < len(boundaries) - 1 and t > boundaries[idx]:
-                idx += 1
+            if idx < last:
+                # First interval ending at or after t.
+                idx = min(bisect_left(boundaries, t, idx), last)
             start = boundaries[idx - 1] if idx else 0.0
-            power = trace[idx].power_w if trace else 0.0
+            power = powers[idx] if powers else 0.0
             return prefix_energy[idx] + (t - start) * power
 
+        # One batched draw is the same stream as n scalar draws (and
+        # leaves the generator in the same state).
+        noise = self._rng.normal(0.0, cfg.noise_std_w, size=n_samples).tolist()
         window_energy = 0.0
         for k in range(n_samples):
             window_start = k * cfg.sample_period_s
@@ -209,12 +222,12 @@ class INA219Sensor:
             if duration > 0:
                 true_power = (window_end_energy - window_energy) / duration
             else:
-                true_power = trace[idx].power_w if trace else 0.0
+                true_power = powers[idx] if powers else 0.0
             window_energy = window_end_energy
             raw = (
                 true_power
                 + self._drift(start_time_s + t_rel)
-                + float(self._rng.normal(0.0, cfg.noise_std_w))
+                + noise[k]
             )
             quantized = round(raw / cfg.power_lsb_w) * cfg.power_lsb_w
             # Fault hooks run after the noise draw so the underlying

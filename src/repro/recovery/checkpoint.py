@@ -20,11 +20,11 @@ states) are restored.  That keeps checkpoints small, avoids pickling
 thread locks, and doubles as a schema the next session can evolve
 behind ``version``.
 
-One deliberate exception: ``config`` is pickled whole, and stochastic
-arrival models carry their lazily-spawned per-device RNG streams as
-instance state -- so the pickle captures the arrival streams exactly
-at the boundary, and the resumed engine's ``windows_at`` draws
-continue the original sequence without any explicit restore step.
+``config`` is pickled whole, but a run never writes into it: the
+engine draws arrivals from its own copy of the arrival model, and the
+snapshot carries those per-device streams as bit-generator states like
+every other stream.  An in-memory checkpoint therefore stays valid
+after its source engine runs on.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Tuple
 from ..errors import ReproError
 
 #: Bumped on incompatible snapshot-schema changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -51,6 +51,9 @@ class ScenarioCheckpoint:
         clock_now: the simulated clock.
         queue_heap / queue_seq: the pending event heap, verbatim.
         churn_rng_state: the churn victim-picker bit-generator state.
+        arrival_rng_states: per arrival stream (in
+            ``ArrivalModel.streams()`` order), each spawned device's
+            bit-generator state.
         campaign_clocks: per ``(device, stage)`` fault-clock counters
             and per-kind RNG states.
         governors: per-device governor snapshots, in registration
@@ -68,6 +71,7 @@ class ScenarioCheckpoint:
     queue_heap: List[Tuple] = field(default_factory=list)
     queue_seq: int = 0
     churn_rng_state: Dict[str, Any] = field(default_factory=dict)
+    arrival_rng_states: List[Dict[int, Any]] = field(default_factory=list)
     campaign_clocks: List[Dict[str, Any]] = field(default_factory=list)
     governors: List[Dict[str, Any]] = field(default_factory=list)
     twins: List[Dict[str, Any]] = field(default_factory=list)

@@ -23,7 +23,10 @@ Every stochastic generator owns one spawned RNG stream per device
 (``SeedSequence(seed, spawn_key=(device_id,))``), so the draw sequence
 of one device never shifts another's.  The engine queries devices in
 sorted id order, tick by tick; generators are deterministic under that
-(and any per-device-monotone) calling discipline.
+(and any per-device-monotone) calling discipline.  The scenario engine
+draws from its own copy of the configured model, reset to fresh
+streams, and checkpoints them through :meth:`ArrivalModel.streams`;
+a run never advances the streams of the config it was built from.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class ArrivalModel:
     def describe(self) -> Dict:
         """JSON-ready self-description (for scenario reports)."""
         raise NotImplementedError
+
+    def streams(self) -> List["_SeededPerDevice"]:
+        """The per-device RNG streams this model draws from, in a
+        fixed order (none for deterministic models)."""
+        return []
 
 
 class ConstantArrivals(ArrivalModel):
@@ -85,6 +93,23 @@ class _SeededPerDevice:
     def __init__(self, seed: int):
         self.seed = seed
         self._rngs: Dict[int, np.random.Generator] = {}
+
+    def reset(self) -> None:
+        """Forget every consumed stream (the next draw starts fresh)."""
+        self._rngs = {}
+
+    def states(self) -> Dict[int, Dict]:
+        """Bit-generator state of every spawned stream, by device."""
+        return {
+            device_id: rng.bit_generator.state
+            for device_id, rng in self._rngs.items()
+        }
+
+    def restore(self, states: Dict[int, Dict]) -> None:
+        """Reset, then continue each device's stream from ``states``."""
+        self.reset()
+        for device_id, state in states.items():
+            self.rng_for(device_id).bit_generator.state = state
 
     def rng_for(self, device_id: int) -> np.random.Generator:
         rng = self._rngs.get(device_id)
@@ -153,6 +178,9 @@ class DiurnalArrivals(ArrivalModel):
             return 0
         return int(self._streams.rng_for(device_id).poisson(lam))
 
+    def streams(self) -> List[_SeededPerDevice]:
+        return [self._streams]
+
     def describe(self) -> Dict:
         return {
             "kind": "diurnal",
@@ -210,6 +238,9 @@ class PoissonBurstArrivals(ArrivalModel):
         if lam == 0.0:
             return 0
         return int(self._streams.rng_for(device_id).poisson(lam))
+
+    def streams(self) -> List[_SeededPerDevice]:
+        return [self._streams]
 
     def describe(self) -> Dict:
         return {
@@ -309,6 +340,9 @@ class CompositeArrivals(ArrivalModel):
             part.windows_at(device_id, t_s, tick_s)
             for part in self.parts
         )
+
+    def streams(self) -> List[_SeededPerDevice]:
+        return [s for part in self.parts for s in part.streams()]
 
     def describe(self) -> Dict:
         return {

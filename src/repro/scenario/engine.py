@@ -21,7 +21,8 @@ collapses to the plain fleet epoch path -- same fleet digest.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -229,10 +230,12 @@ class ServeBridge:
     """
 
     def __init__(self, config: ScenarioConfig):
-        serve_cfg = config.serve or ServeConfig()
         # Micro-batching coalesces on a wall-clock window; the engine
-        # submits strictly sequentially, so it only adds latency.
-        serve_cfg.batch_enabled = False
+        # submits strictly sequentially, so it only adds latency.  The
+        # bridge switches it off on its own copy of the caller's config.
+        serve_cfg = replace(
+            config.serve or ServeConfig(), batch_enabled=False
+        )
         self._loop = asyncio.new_event_loop()
         self._started = False
         if config.shards > 0:
@@ -306,6 +309,11 @@ class ScenarioEngine:
         )
         self.clock = SimClock()
         self.queue = EventQueue()
+        # The run draws arrivals from its own copy of the model, on
+        # fresh streams, so it never writes state into the config.
+        self.arrivals = copy.deepcopy(config.arrivals)
+        for streams in self.arrivals.streams():
+            streams.reset()
         self.churn_proc = ChurnProcess(config.churn)
         self.campaign_clocks = (
             CampaignClocks(config.campaign)
@@ -508,7 +516,7 @@ class ScenarioEngine:
         intents: List[Tuple[int, FleetGovernor, object]] = []
         drift_sum, drift_n = 0.0, 0
         for device_id in sorted(self.live | self.quarantined):
-            windows = cfg.arrivals.windows_at(device_id, t_s, cfg.tick_s)
+            windows = self.arrivals.windows_at(device_id, t_s, cfg.tick_s)
             self.demand["windows_requested"] += windows
             if windows <= 0:
                 continue
@@ -911,6 +919,9 @@ class ScenarioEngine:
             queue_heap=list(self.queue._heap),
             queue_seq=self.queue._seq,
             churn_rng_state=self.churn_proc._victim_rng.bit_generator.state,
+            arrival_rng_states=[
+                streams.states() for streams in self.arrivals.streams()
+            ],
             campaign_clocks=clocks,
             governors=governors,
             twins=twins,
@@ -1036,6 +1047,10 @@ class ScenarioEngine:
         self.churn_proc._victim_rng.bit_generator.state = (
             checkpoint.churn_rng_state
         )
+        for streams, states in zip(
+            self.arrivals.streams(), checkpoint.arrival_rng_states
+        ):
+            streams.restore(states)
         if self.campaign_clocks is not None:
             for entry in checkpoint.campaign_clocks:
                 index = entry["stage_index"]

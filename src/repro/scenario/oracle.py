@@ -12,12 +12,13 @@ closed-loop tax: energy the fleet burned because it had to *discover*
 the drift instead of knowing it.
 
 The twin replays exactly the physics of the governed device -- same
-:func:`~repro.fleet.governor.clamp_plan_to_cap` clamping, same leaky
-thermal excess on :data:`~repro.fleet.governor.LEAKY_STATES`, same
+:func:`~repro.fleet.pricing.clamp_plan_to_cap` clamping, same leaky
+thermal excess on :data:`~repro.fleet.pricing.LEAKY_STATES`, same
 battery/temperature bookkeeping, same exact-exponential idle -- with
-the sensor, faults, and drift trigger removed.  It consumes no RNG,
-so adding or removing oracle twins never perturbs a scenario's
-stochastic streams.
+the sensor, faults, and drift trigger removed.  It prices its windows
+through the same :class:`~repro.fleet.pricing.EpochPricer` as the
+governor.  It consumes no RNG, so adding or removing oracle twins
+never perturbs a scenario's stochastic streams.
 """
 
 from __future__ import annotations
@@ -28,12 +29,8 @@ from typing import Dict, Optional, Tuple
 
 from ..engine.schedule import DeploymentPlan
 from ..errors import PowerModelError, ReproError
-from ..fleet.governor import (
-    GovernorConfig,
-    LEAKY_STATES,
-    clamp_plan_to_cap,
-    resolve_replan,
-)
+from ..fleet.governor import GovernorConfig, resolve_replan
+from ..fleet.pricing import EpochPricer
 from ..fleet.variation import DeviceProfile
 from ..nn.graph import Model
 from ..optimize.mckp import MCKPItem
@@ -72,6 +69,7 @@ class OracleTwin:
         self.optimized = optimized
         self.config = config or GovernorConfig()
         self.quant_w = quant_w
+        self._pricer = EpochPricer(pipeline, model)
         node_ids = sorted(optimized.pareto_fronts)
         self.base_classes = [
             [
@@ -148,30 +146,16 @@ class OracleTwin:
             if new_plan is not None:
                 self._plan = new_plan
                 self.replans += 1
-        exec_plan, _clamped = clamp_plan_to_cap(
-            self._plan, cap_hz, self.pipeline.space.hfo_configs
-        )
+        exec_plan, _clamped = self._pricer.clamp(self._plan, cap_hz)
         try:
-            ref = self.pipeline.runtime.run(
-                self.model,
-                exec_plan,
-                qos_s=self.optimized.qos_s,
-                initial_config=exec_plan.initial_config(),
-            )
+            window = self._pricer.window(exec_plan, self.optimized.qos_s)
         except ReproError:
             # Fault-free runs do not die; treat defensively as a
             # missed window with no energy accounted.
             self.epochs += 1
             return False
-        true_energy = sum(
-            iv.duration_s
-            * (
-                iv.power_w
-                + (extra_w if iv.state in LEAKY_STATES else 0.0)
-            )
-            for iv in ref.account.intervals
-        )
-        window_s = ref.qos_s if ref.qos_s is not None else ref.latency_s
+        true_energy = window.true_energy_j(window.true_powers(extra_w))
+        window_s = window.window_s
         avg_power = true_energy / window_s if window_s > 0 else 0.0
         self._battery = self._battery.discharged(
             avg_power * cfg.epoch_s
@@ -181,9 +165,9 @@ class OracleTwin:
         )
         self.epochs += 1
         self.true_energy_j += true_energy
-        if ref.met_qos:
+        if window.met_qos:
             self.epochs_met += 1
-        return ref.met_qos
+        return window.met_qos
 
     def summary(self) -> Dict:
         """JSON-ready twin outcome."""

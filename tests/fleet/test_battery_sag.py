@@ -14,7 +14,8 @@ import pytest
 from repro.analysis import Battery, BatteryState
 from repro.analysis.battery import SUPPLY_RAILS
 from repro.fleet import FleetScheduler, GovernorConfig
-from repro.fleet.governor import FleetGovernor, clamp_plan_to_cap
+from repro.fleet.governor import FleetGovernor
+from repro.fleet.pricing import clamp_plan_to_cap
 from repro.fleet.variation import DeviceProfile
 from repro.mcu import make_nucleo_f767zi
 from repro.nn import build_tiny_test_model
@@ -154,3 +155,33 @@ class TestSagClamp:
         crushed, moved = clamp_plan_to_cap(plan, 1.0, hfo_configs)
         assert moved
         assert plan_max_hz(crushed) == slowest
+
+    def test_clamp_change_rebuilds_the_priced_window(
+        self, tiny, monkeypatch
+    ):
+        """Crossing the knee in either direction re-prices the window
+        once; epochs on an unchanged side reuse the cached one."""
+        governor, plan = plan_governor(tiny)
+        knee_v, _cap_hz = knee_below(plan_max_hz(plan))
+        runtime = governor.pipeline.runtime
+        original = runtime.run
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "run", counting)
+
+        def runs_for(battery):
+            governor.set_battery(battery)
+            before = len(runs)
+            governor.step()
+            return len(runs) - before
+
+        above, below = sag_state(knee_v + 0.01), sag_state(knee_v - 0.01)
+        assert runs_for(above) == 1
+        assert runs_for(above) == 0
+        assert runs_for(below) == 1  # clamped plan
+        assert runs_for(below) == 0
+        assert runs_for(BatteryState(battery=Battery())) == 1

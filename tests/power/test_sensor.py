@@ -279,3 +279,83 @@ class TestFaultInjection:
             self.QUIET, fault_clock=FaultPlan().clock_for(0)
         ).measure(trace)
         assert [s.power_w for s in clean] == [s.power_w for s in hardened]
+
+
+class TestBatchedNoisePins:
+    """The batched noise draw reproduces the per-sample scalar draws.
+
+    The train digests and generator states below were captured with
+    the scalar-draw sensor: one ``rng.normal`` call per conversion.
+    Each case measures the same non-aligned 38-interval trace twice
+    (noise, drift, and the named fault events).
+    """
+
+    CONFIG = INA219Config(
+        noise_std_w=1e-3, drift_amplitude_w=2e-3, drift_period_s=60.0
+    )
+    STATE = "17ee404856fc9c5f3fd084eacc8d4506f6f247cb5af7d5ba97cafeb065de7aa7"
+    PINS = {
+        "clean": (
+            (),
+            "2e243e6c3eba2e758a759a1b541b857b30f1e7868de54e45a573fa592348375d",
+        ),
+        "dropout": (
+            (("SENSOR_DROPOUT", 3), ("SENSOR_DROPOUT", 11)),
+            "49c05901aeb219cac05e84e86e337917b0af1703c5c6c21bc2f8dab8e4bf8984",
+        ),
+        "stuck": (
+            (("SENSOR_STUCK", 0),),
+            "3e611e3906e74e24a9abd17f2ebead509c8d17d7fc325257a9ab074c27bd4916",
+        ),
+    }
+
+    @staticmethod
+    def trace():
+        intervals = [
+            EnergyInterval(
+                0.00037 + 1e-5 * (k % 5),
+                0.05 + 0.013 * (k % 7),
+                EnergyCategory.COMPUTE,
+            )
+            for k in range(37)
+        ]
+        intervals.append(EnergyInterval(0.0123, 0.02, EnergyCategory.IDLE))
+        return intervals
+
+    @staticmethod
+    def sha256(payload):
+        import hashlib
+        import json
+
+        return hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+
+    def measure_twice(self, events, as_pairs=False):
+        from repro.faults import FaultKind, FaultPlan
+
+        scheduled = tuple((FaultKind[kind], k) for kind, k in events)
+        clock = FaultPlan(scheduled=scheduled).clock_for(0) if events else None
+        sensor = INA219Sensor(self.CONFIG, seed=7, fault_clock=clock)
+        trace = self.trace()
+        if as_pairs:
+            trace = [(iv.duration_s, iv.power_w) for iv in trace]
+        train = sensor.measure(trace, start_time_s=12.5)
+        train += sensor.measure(trace, start_time_s=20.0)
+        rows = [
+            [s.time_s.hex(), s.power_w.hex(), s.duration_s.hex()]
+            for s in train
+        ]
+        return self.sha256(rows), self.sha256(sensor._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_train_and_generator_state_match_scalar_draws(self, case):
+        events, train_digest = self.PINS[case]
+        assert self.measure_twice(events) == (train_digest, self.STATE)
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_duration_power_pairs_read_like_intervals(self, case):
+        events, _ = self.PINS[case]
+        assert self.measure_twice(events, as_pairs=True) == (
+            self.measure_twice(events)
+        )

@@ -1,10 +1,8 @@
 """Checkpoint/resume: the resume-at-any-boundary parity invariant.
 
-Every test builds a *fresh* config per run: stochastic arrival models
-carry their consumed per-device RNG streams as instance state, so
-sharing one config object between the baseline run and the
-checkpointed run would diverge the draws (and the digests) for
-reasons that have nothing to do with the checkpoint machinery.
+Every test builds a fresh config per run, so each run is independent
+of the others by construction.  (A run no longer writes into its
+config, see ``test_run_isolation.py``.)
 """
 
 import pytest
