@@ -15,6 +15,7 @@ import pytest
 
 from repro import DAEDVFSPipeline
 from repro.dse.space import DesignSpace
+from repro.engine import TinyEngineClockGated
 from repro.optimize import MODERATE
 
 from conftest import report
@@ -46,7 +47,9 @@ def run_experiment(base_pipeline, models):
     rows = {}
     for model_name, model in models.items():
         qos = MODERATE.budget_s(base_pipeline.baseline_latency_s(model))
-        cg = base_pipeline._clock_gated.run(model, qos_s=qos)
+        cg = TinyEngineClockGated(
+            board, tracer=base_pipeline.tracer
+        ).run(model, qos_s=qos)
         for variant_name, variant in variants.items():
             result = variant.optimize(model, qos_s=qos)
             run = variant.deploy(model, result.plan)

@@ -25,10 +25,8 @@ from conftest import report
 
 def run_experiment(pipeline, models):
     model = models["vww"]
-    result = pipeline.optimize(model, qos_level=MODERATE)
-    ours = pipeline.deploy(model, result.plan)
-    te = pipeline._tinyengine.run(model, qos_s=result.qos_s)
-    cg = pipeline._clock_gated.run(model, qos_s=result.qos_s)
+    row = pipeline.compare(model, MODERATE)
+    ours, te, cg = row.ours, row.tinyengine, row.clock_gated
     params = ThermalModelParams(
         leakage_ref_w=pipeline.board.power_model.params.p_mcu_leakage_w
     )

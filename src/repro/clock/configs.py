@@ -97,6 +97,16 @@ class ClockConfig:
         key = (self.source, self.hse_hz, self.pll, self.limits)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        # Eq. 1 is evaluated once here: pricing reads these per interval.
+        if self.source is SysclkSource.HSI:
+            sysclk, vco = lim.hsi_hz, 0.0
+        elif self.source is SysclkSource.HSE:
+            sysclk, vco = self.hse_hz, 0.0
+        else:
+            hz = self._pll_input_hz()
+            sysclk, vco = self.pll.sysclk_hz(hz), self.pll.vco_output_hz(hz)
+        object.__setattr__(self, "_sysclk_hz", sysclk)
+        object.__setattr__(self, "_vco_hz", vco)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -114,12 +124,7 @@ class ClockConfig:
     @property
     def sysclk_hz(self) -> float:
         """The SYSCLK frequency this configuration produces."""
-        if self.source is SysclkSource.HSI:
-            return resolve_limits(self.limits).hsi_hz
-        if self.source is SysclkSource.HSE:
-            return self.hse_hz
-        assert self.pll is not None
-        return self.pll.sysclk_hz(self._pll_input_hz())
+        return self._sysclk_hz
 
     @property
     def vco_hz(self) -> float:
@@ -129,10 +134,7 @@ class ClockConfig:
         configs with identical SYSCLK but different VCO frequencies draw
         visibly different power.
         """
-        if self.source is not SysclkSource.PLL:
-            return 0.0
-        assert self.pll is not None
-        return self.pll.vco_output_hz(self._pll_input_hz())
+        return self._vco_hz
 
     @property
     def uses_pll(self) -> bool:

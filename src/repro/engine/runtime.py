@@ -16,7 +16,7 @@ assumption except the scheduling policy itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..clock.configs import ClockConfig, SysclkSource
@@ -84,6 +84,8 @@ class InferenceReport:
             resume.  0 without faults.
         pll_retries: PLL lock-timeout retries absorbed by the retry
             policy.  0 without faults.
+        final_config: the clock the inference left the board on, at
+            which :meth:`DVFSRuntime.window` charges a HOT idle.
     """
 
     model_name: str
@@ -100,6 +102,7 @@ class InferenceReport:
     css_events: int = 0
     watchdog_resets: int = 0
     pll_retries: int = 0
+    final_config: Optional[ClockConfig] = None
 
     @property
     def average_power_w(self) -> float:
@@ -302,32 +305,52 @@ class DVFSRuntime:
                     "engine.hardening", n=pll_retries, event="pll_retry"
                 )
 
-        inference_latency = account.total_time_s
         inference_energy = account.total_energy_j
-        met_qos = True
-        if qos_s is not None:
-            met_qos = inference_latency <= qos_s
-            idle_time = max(0.0, qos_s - inference_latency)
-            if idle_policy is None:
-                idle_policy = (
-                    IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
-                )
-            self._charge_idle(account, rcc.current, idle_policy, idle_time)
-        return InferenceReport(
+        record = InferenceReport(
             model_name=model.name,
             plan=plan,
-            latency_s=inference_latency,
-            energy_j=account.total_energy_j,
+            latency_s=account.total_time_s,
+            energy_j=inference_energy,
             inference_energy_j=inference_energy,
             account=account,
             layer_reports=reports,
             relock_count=rcc.relock_count() + background_relocks,
             mux_switch_count=mux_switches,
-            qos_s=qos_s,
-            met_qos=met_qos,
             css_events=css_events,
             watchdog_resets=watchdog_resets,
             pll_retries=pll_retries,
+            final_config=rcc.current,
+        )
+        if qos_s is None:
+            return record
+        if idle_policy is None:
+            idle_policy = IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
+        return self.window(record, qos_s, idle_policy)
+
+    def window(
+        self,
+        record: InferenceReport,
+        qos_s: float,
+        idle_policy: IdlePolicy,
+    ) -> InferenceReport:
+        """``record`` (a run without a QoS window) idled out to ``qos_s``.
+
+        The report owns a copy of the record's ledger with the idle
+        interval(s) appended; the record itself is left untouched, so
+        one execution can be windowed under several idle policies.
+        """
+        account = EnergyAccount(list(record.account.intervals))
+        self._charge_idle(
+            account, record.final_config, idle_policy,
+            max(0.0, qos_s - record.latency_s),
+        )
+        return replace(
+            record,
+            energy_j=account.total_energy_j,
+            account=account,
+            layer_reports=[replace(r) for r in record.layer_reports],
+            qos_s=qos_s,
+            met_qos=record.latency_s <= qos_s,
         )
 
     def measure_latency_s(

@@ -79,6 +79,18 @@ class TinyEngine:
             initial_config=self.clock,
         )
 
+    def window(
+        self,
+        record: InferenceReport,
+        qos_s: float,
+        idle_policy: Optional[IdlePolicy] = None,
+    ) -> InferenceReport:
+        """A windowless :meth:`run` idled to ``qos_s`` (this engine's
+        policy unless another is given), without executing it again."""
+        return self._runtime.window(
+            record, qos_s, idle_policy or self.idle_policy
+        )
+
     def inference_latency_s(self, model: Model) -> float:
         """Latency of one inference (no QoS window)."""
         return self.run(model).latency_s

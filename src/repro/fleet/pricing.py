@@ -16,9 +16,11 @@ moves power curves, not cycle counts; see
   each distinct (model, plan) once, records the (duration, config,
   state)-tagged interval schedule, and re-prices those intervals under
   its own device's power model on every subsequent run.  Because the
-  durations are shared floats and the re-pricing calls the very same
-  ``power(config, state)`` the direct path uses, a replayed report is
-  bit-identical to a direct execution (pinned by test).
+  durations are shared floats, the re-pricing calls the very same
+  ``power(config, state)`` the direct path uses and the QoS window is
+  charged by the direct path's own ``window``, a replayed report is
+  bit-identical to a direct execution on every board and idle policy
+  (pinned by test).
 * :class:`EpochPricer` -- the **priced window** a governor (or oracle
   twin) prices every epoch from.  A device's plan almost never changes,
   so it caches one entry: the reference window's scalars (energy,
@@ -42,7 +44,7 @@ one canonical entry.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -295,9 +297,11 @@ class ReplayingRuntime(DVFSRuntime):
     on the real engine (without a QoS window) and records the tagged
     interval schedule in the shared state.  Every later run -- on any
     device -- re-prices the recorded (duration, config, state) triples
-    under its own power model and charges the post-inference idle
-    analytically.  Durations, latencies and switch counts are shared;
-    only the watts differ.
+    under its own power model, then charges the QoS window through the
+    inherited :meth:`~repro.engine.runtime.DVFSRuntime.window`, at the
+    record's ``final_config`` (the clock the direct run ends on, also
+    after an NPU segment).  Durations, latencies and switch counts are
+    shared; only the watts differ.
     """
 
     def __init__(
@@ -382,28 +386,18 @@ class ReplayingRuntime(DVFSRuntime):
         power = self.board.power_model
         account = EnergyAccount()
         label_energy: Dict[str, float] = {}
-        final_config = plan.lfo
-        # A schedule touches thousands of intervals but only a handful
-        # of distinct (config, state) pairs; memoizing the watt lookups
-        # keeps the per-interval accumulation order (and therefore the
-        # floats) untouched while dropping most of the replay cost.
-        watts: Dict[Tuple, float] = {}
         for interval in record.account.intervals:
             # Every interval the runtime records is (config, state)
             # tagged; re-pricing runs the exact power() call the
             # direct path would, on the exact shared durations, so the
             # result is bit-identical to a native run on this board.
-            pair = (interval.config, interval.state)
-            p = watts.get(pair)
-            if p is None:
-                if interval.state is PowerState.NPU_ACTIVE:
-                    # NPU power rides the accelerator's own rail, not
-                    # the device-varied SYSCLK model: the recorded
-                    # watts are already exact for every device.
-                    p = interval.power_w
-                else:
-                    p = power.power(interval.config, interval.state)
-                watts[pair] = p
+            if interval.state is PowerState.NPU_ACTIVE:
+                # NPU power rides the accelerator's own rail, not the
+                # device-varied SYSCLK model: the recorded watts are
+                # already exact for every device.
+                p = interval.power_w
+            else:
+                p = power.power(interval.config, interval.state)
             account.add(
                 interval.duration_s, p, interval.category, interval.label,
                 config=interval.config, state=interval.state,
@@ -412,46 +406,24 @@ class ReplayingRuntime(DVFSRuntime):
                 label_energy.get(interval.label, 0.0)
                 + interval.duration_s * p
             )
-            final_config = interval.config
         inference_energy = account.total_energy_j
-        latency = record.latency_s
-        met_qos = True
-        if qos_s is not None:
-            met_qos = latency <= qos_s
-            idle_time = max(0.0, qos_s - latency)
-            if idle_policy is None:
-                idle_policy = (
-                    IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
-                )
-            self._charge_idle(account, final_config, idle_policy, idle_time)
         reports = [
-            type(layer)(
-                node_id=layer.node_id,
-                layer_name=layer.layer_name,
-                layer_kind=layer.layer_kind,
-                granularity=layer.granularity,
-                hfo_hz=layer.hfo_hz,
-                latency_s=layer.latency_s,
-                energy_j=label_energy.get(layer.layer_name, 0.0),
-            )
-            for layer in record.layer_reports
+            replace(r, energy_j=label_energy.get(r.layer_name, 0.0))
+            for r in record.layer_reports
         ]
-        return InferenceReport(
-            model_name=record.model_name,
+        repriced = replace(
+            record,
             plan=plan,
-            latency_s=latency,
-            energy_j=account.total_energy_j,
+            energy_j=inference_energy,
             inference_energy_j=inference_energy,
             account=account,
             layer_reports=reports,
-            relock_count=record.relock_count,
-            mux_switch_count=record.mux_switch_count,
-            qos_s=qos_s,
-            met_qos=met_qos,
-            css_events=record.css_events,
-            watchdog_resets=record.watchdog_resets,
-            pll_retries=record.pll_retries,
         )
+        if qos_s is None:
+            return repriced
+        if idle_policy is None:
+            idle_policy = IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
+        return self.window(repriced, qos_s, idle_policy)
 
 
 def clamp_plan_to_cap(

@@ -29,9 +29,9 @@ from .dse.explorer import DSEExplorer, SolutionPoint
 from .dse.pareto import pareto_front
 from .dse.space import DesignSpace, paper_design_space
 from .engine.cost import TraceParams, model_fingerprint
-from .engine.runtime import DVFSRuntime, InferenceReport
+from .engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
 from .engine.schedule import DeploymentPlan, LayerPlan
-from .engine.tinyengine import TinyEngine, TinyEngineClockGated
+from .engine.tinyengine import TinyEngine
 from .errors import QoSInfeasibleError, SolverError
 from .mcu.board import Board, make_nucleo_f767zi
 from .nn.graph import Model
@@ -155,16 +155,15 @@ class DAEDVFSPipeline:
             tracer=tracer,
         )
         # One memoized TraceBuilder feeds the explorer, the runtime,
-        # the fixed-overhead accounting and both baseline engines, so
+        # the fixed-overhead accounting and the baseline engine, so
         # every (model, node, g) trace is built exactly once.
         self.tracer = self.explorer.tracer
         self.runtime = runtime or DVFSRuntime(
             self.board, trace_params, tracer=self.tracer
         )
+        # Both Fig. 5 baselines: TinyEngine, and TinyEngine + clock
+        # gating as the same execution windowed with a gated idle.
         self._tinyengine = TinyEngine(
-            self.board, trace_params=trace_params, tracer=self.tracer
-        )
-        self._clock_gated = TinyEngineClockGated(
             self.board, trace_params=trace_params, tracer=self.tracer
         )
         # Step-2 result caches, keyed by (model fingerprint, space
@@ -808,11 +807,22 @@ class DAEDVFSPipeline:
     def compare(
         self, model: Model, qos_level: QoSLevel
     ) -> ComparisonResult:
-        """Ours vs. TinyEngine vs. TinyEngine+gating at one QoS level."""
+        """Ours vs. TinyEngine vs. TinyEngine+gating at one QoS level.
+
+        The baseline schedule executes once: its latency anchors the
+        QoS budget and its record is windowed under both idle policies.
+        """
+        baseline = self._tinyengine.run(model)
+        with self._cache_lock:
+            self._baseline_cache.setdefault(
+                self._model_key(model), baseline.latency_s
+            )
         result = self.optimize(model, qos_level=qos_level)
         ours = self.deploy(model, result.plan)
-        te = self._tinyengine.run(model, qos_s=result.qos_s)
-        cg = self._clock_gated.run(model, qos_s=result.qos_s)
+        te = self._tinyengine.window(baseline, result.qos_s)
+        cg = self._tinyengine.window(
+            baseline, result.qos_s, IdlePolicy.GATED
+        )
         return ComparisonResult(
             model_name=model.name,
             qos_name=qos_level.name,

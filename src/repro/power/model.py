@@ -198,6 +198,7 @@ class BoardPowerModel:
 
     def __init__(self, params: Optional[PowerModelParams] = None):
         self.params = params or PowerModelParams()
+        self._memo: Tuple[Optional[PowerModelParams], dict] = (None, {})
 
     # -- state-specific helpers -------------------------------------------
 
@@ -206,13 +207,31 @@ class BoardPowerModel:
 
         The clock-gated state ignores the configuration: gating shuts
         the clock tree down regardless of what it was running.
+
+        Memoized per ``(config, state)``: the design space holds a few
+        dozen such pairs while a schedule prices thousands of
+        intervals.  Replacing :attr:`params` drops the memo.
         """
-        p = self.params
         if state is PowerState.NPU_ACTIVE:
             raise PowerModelError(
                 "NPU intervals are priced by the board's NPUModel, not "
                 "the SYSCLK power model"
             )
+        p = self.params
+        filled_under, memo = self._memo
+        if filled_under is not p:
+            memo = {}
+            self._memo = (p, memo)
+        key = (config, state)
+        watts = memo.get(key)
+        if watts is None:
+            watts = memo[key] = self._power(p, config, state)
+        return watts
+
+    @staticmethod
+    def _power(
+        p: PowerModelParams, config: ClockConfig, state: PowerState
+    ) -> float:
         if state is PowerState.IDLE_GATED:
             return p.p_board_static_w + p.p_gated_w
         if state is PowerState.STOP:

@@ -13,7 +13,9 @@ from repro.clock import (
     min_power_config,
     pll_config,
 )
-from repro.clock.configs import PAPER_PLLM_VALUES, PAPER_PLLN_VALUES
+from repro.boards import board_names, get_spec
+from repro.clock.configs import PAPER_PLLM_VALUES, PAPER_PLLN_VALUES, hsi_config
+from repro.clock.limits import resolve_limits
 from repro.errors import ClockConfigError
 from repro.power import BoardPowerModel
 from repro.units import MHZ
@@ -145,3 +147,35 @@ class TestMinPowerSelection:
         cfg = max_performance_config()
         assert cfg.sysclk_hz == pytest.approx(216 * MHZ)
         assert cfg.uses_pll
+
+
+
+def board_clock_configs(board_name):
+    """A registered board's HFO grid under its limits, plus its HSE
+    (LFO) and HSI configs."""
+    spec = get_spec(board_name)
+    return list(spec.grid_configs()) + [
+        lfo_config(spec.lfo_hz, limits=spec.limits),
+        hsi_config(spec.limits),
+    ]
+
+
+class TestStoredFrequencies:
+    """``sysclk_hz``/``vco_hz`` are evaluated once at construction;
+    they must equal a fresh Eq. 1 evaluation on every board's tree."""
+
+    @pytest.mark.parametrize("board_name", board_names())
+    def test_match_fresh_eq1(self, board_name):
+        configs = board_clock_configs(board_name)
+        assert any(cfg.uses_pll for cfg in configs)
+        for cfg in configs:
+            if cfg.source is SysclkSource.PLL:
+                pll = cfg.pll
+                sysclk = cfg.hse_hz * pll.plln / (pll.pllm * pll.pllp)
+                vco = cfg.hse_hz * pll.plln / pll.pllm
+            elif cfg.source is SysclkSource.HSE:
+                sysclk, vco = cfg.hse_hz, 0.0
+            else:
+                sysclk, vco = resolve_limits(cfg.limits).hsi_hz, 0.0
+            assert cfg.sysclk_hz == sysclk, cfg.describe()
+            assert cfg.vco_hz == vco, cfg.describe()

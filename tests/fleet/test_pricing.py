@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.boards import board_names, build_board
 from repro.dse.explorer import DSEExplorer
 from repro.dse.space import paper_design_space
-from repro.engine.runtime import DVFSRuntime
+from repro.engine.runtime import DVFSRuntime, IdlePolicy
 from repro.fleet import (
     FleetSharedState,
     ReplayingRuntime,
@@ -189,3 +190,45 @@ class TestReplayingRuntime:
         )
         assert a.latency_s == b.latency_s
         assert a.energy_j != b.energy_j
+
+
+def ledger(report):
+    return [
+        (iv.duration_s, iv.power_w, iv.category, iv.label, iv.config, iv.state)
+        for iv in report.account.intervals
+    ]
+
+
+class TestReplayOnEveryBoard:
+    """A replayed window equals a direct one on every registered board
+    and idle policy.  On a board whose inference ends on an NPU segment
+    the last ledger interval carries no SYSCLK config: the idle must be
+    charged at the clock the direct run ends on, not the last
+    interval's (that guess raised AttributeError under HOT)."""
+
+    @pytest.fixture(scope="class", params=board_names())
+    def planned(self, request, tiny):
+        board = build_board(request.param)
+        pipeline = DAEDVFSPipeline(board=board)
+        return board, pipeline.optimize(tiny, qos_level=MODERATE)
+
+    @pytest.mark.parametrize(
+        "policy", list(IdlePolicy), ids=lambda p: p.value
+    )
+    def test_replayed_window_equals_direct(self, tiny, planned, policy):
+        board, result = planned
+        kwargs = dict(
+            qos_s=result.qos_s,
+            initial_config=result.plan.initial_config(),
+            idle_policy=policy,
+        )
+        direct = DVFSRuntime(board).run(tiny, result.plan, **kwargs)
+        shared = FleetSharedState(board)
+        # The first run records the schedule, the second prices from it.
+        for _ in range(2):
+            replayed = ReplayingRuntime(board, shared).run(
+                tiny, result.plan, **kwargs
+            )
+            assert replayed.energy_j == direct.energy_j
+            assert replayed.met_qos == direct.met_qos
+            assert ledger(replayed) == ledger(direct)

@@ -78,7 +78,6 @@ class TestStepTwoCaches:
         assert pipeline.tracer is pipeline.explorer.tracer
         assert pipeline.tracer is pipeline.runtime.tracer
         assert pipeline.tracer is pipeline._tinyengine._runtime.tracer
-        assert pipeline.tracer is pipeline._clock_gated._runtime.tracer
 
     def test_uniform_classes_memoized(self, board, tiny_model):
         pipeline = DAEDVFSPipeline(board=board)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.boards import board_names, build_board, get_spec
 from repro.clock import hfo_grid, lfo_config, pll_config
+from repro.clock.configs import hsi_config
 from repro.clock.configs import ClockConfig, SysclkSource
 from repro.errors import PowerModelError
 from repro.power import BoardPowerModel, PowerModelParams, PowerState
@@ -120,3 +122,51 @@ class TestParams:
     def test_switching_power_between_gated_and_active(self, pm, hfo_216):
         switching = pm.switching_power(lfo_config())
         assert pm.gated_power() < switching < pm.active_power(hfo_216)
+
+
+
+def _price(model, config, state):
+    try:
+        return model.power(config, state)
+    except PowerModelError as err:
+        return type(err)
+
+
+class TestPowerMemo:
+    """``power`` memoizes per (config, state) and forgets on a new
+    ``params`` object."""
+
+    STATES = [s for s in PowerState if s is not PowerState.NPU_ACTIVE]
+
+    @pytest.mark.parametrize("board_name", board_names())
+    def test_matches_fresh_model(self, board_name):
+        spec = get_spec(board_name)
+        configs = list(spec.grid_configs()) + [
+            lfo_config(spec.lfo_hz, limits=spec.limits),
+            hsi_config(spec.limits),
+        ]
+        model = build_board(board_name).power_model
+        pairs = [(c, s) for c in configs for s in self.STATES]
+        for _ in range(2):  # fill, then hit
+            for config, state in pairs:
+                fresh = BoardPowerModel(model.params)
+                assert _price(model, config, state) == _price(
+                    fresh, config, state
+                )
+
+    def test_recomputes_after_params_replaced(self, pm):
+        pairs = [(c, s) for c in hfo_grid() for s in self.STATES]
+        before = [pm.power(c, s) for c, s in pairs]
+        pm.params = pm.params.scaled(
+            p_board_static_w=0.03, k_vco_w_per_hz=4e-10
+        )
+        after = [pm.power(c, s) for c, s in pairs]
+        assert after == [
+            BoardPowerModel(pm.params).power(c, s) for c, s in pairs
+        ]
+        assert all(a != b for a, b in zip(after, before))
+
+    def test_npu_state_raises_every_call(self, pm, hfo_216):
+        for _ in range(2):
+            with pytest.raises(PowerModelError):
+                pm.power(hfo_216, PowerState.NPU_ACTIVE)
