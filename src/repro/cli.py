@@ -24,35 +24,42 @@ Exposes the end-to-end flow without writing Python::
 Model names: ``vww``, ``pd``, ``mbv2`` (the paper's suite) and
 ``tiny`` (a small test CNN).
 
-The ``--json`` contract (optimize / compare / lifetime / selftest /
-fleet / chaos / loadgen): when the flag is present, stdout carries
-*only* the machine-parseable JSON payload -- human-readable progress
-moves to stderr -- so ``repro-dvfs ... --json | jq .`` always works.
-``--json PATH`` additionally writes the same payload to ``PATH``
-(``-`` means stdout only).
+Every command returns ``(exit code, JSON payload or None)``;
+:func:`main` alone owns the shared flags below.
 
-``--trace PATH`` (plan / fleet / chaos / serve) installs the
-:mod:`repro.obs` tracer for the run and writes the span trace to
-``PATH`` on exit -- ``.jsonl`` for the native line format, anything
-else for Chrome trace JSON (load it at https://ui.perfetto.dev).  In
-``--json`` mode the payload gains a ``trace`` summary (path, span
-count, deterministic digest) *after* the core digest is computed, so
-tracing never perturbs a payload's own digest.
+The ``--json`` contract (every command with a JSON payload): when the
+flag is present, stdout carries *only* the machine-parseable JSON
+payload -- human-readable progress moves to stderr -- so
+``repro-dvfs ... --json | jq .`` always works.  ``--json PATH``
+additionally writes the same payload to ``PATH`` (``-`` means stdout
+only).
+
+``--trace PATH`` (plan / crossboard / fleet / chaos / scenario /
+serve) installs the :mod:`repro.obs` tracer for the run and writes the
+span trace to ``PATH`` on exit, failed runs included -- ``.jsonl`` for
+the native line format, anything else for Chrome trace JSON (load it
+at https://ui.perfetto.dev).  In ``--json`` mode the payload gains a
+``trace`` summary (path, span count, deterministic digest) *after* the
+core digest is computed, so tracing never perturbs a payload's own
+digest.  The trace digest is stable run to run only on serial paths
+(``plan``, ``crossboard``, ``fleet --serial``): pooled planning orders
+span ``seq`` by thread start.
 
 ``--metrics PATH`` (plan / fleet / chaos / scenario / serve) writes
 the process's final metrics-registry snapshot to ``PATH`` as
-canonical JSON with its sha256 digest, symmetric to ``--trace``: the
-``metrics`` summary also attaches to a ``--json`` payload only after
-the core digest is computed.  ``repro-dvfs monitor`` consumes these
-files (or a live server's ``metrics`` op via ``--connect``): it
-tails the registry, rolls two snapshots into windowed deltas, renders
-Prometheus exposition text, lints it, and judges the default SLOs.
+canonical JSON with its sha256 digest, symmetric to ``--trace``
+(written on failure too; the ``metrics`` summary attaches to a
+``--json`` payload only after the core digest is computed).
+``repro-dvfs monitor`` consumes these files (or a live server's
+``metrics`` op via ``--connect``): it tails the registry, rolls two
+snapshots into windowed deltas, renders Prometheus exposition text,
+lints it, and judges the default SLOs.
 
 Exit codes: 0 on success; 1 when the command failed with a
 :class:`~repro.errors.ReproError` (infeasible QoS, bad plan file,
-overload, ...) -- in ``--json`` mode the error is also emitted on
-stdout as ``{"ok": false, "error": {"kind": ..., "message": ...}}`` --
-or when a check-style command (``selftest``, ``loadgen``) found a
+overload, ...) -- in ``--json`` mode the error document
+``{"ok": false, "error": {"kind": ..., "message": ...}}`` takes the
+payload's place -- or when a check-style command (``selftest``, ``loadgen``) found a
 failing check; 2 on argparse usage errors (argparse's convention).
 """
 
@@ -61,7 +68,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .analysis import (
     Battery,
@@ -94,22 +101,42 @@ def _build_model(name: str) -> Model:
         )
 
 
-def _qos_level(args: argparse.Namespace) -> Optional[QoSLevel]:
-    if getattr(args, "qos_percent", None) is not None:
-        return QoSLevel(
-            name=f"{args.qos_percent}%", slack=args.qos_percent / 100.0
-        )
-    return None
+_DEFAULT_QOS = QoSLevel(name="30%", slack=0.30)
+
+# What every ``cmd_*`` returns: (exit code, JSON payload or None).
+Result = Tuple[int, Optional[Dict[str, Any]]]
 
 
-def _qos_seconds(args: argparse.Namespace) -> Optional[float]:
-    if getattr(args, "qos_ms", None) is not None:
-        return args.qos_ms * 1e-3
-    return None
+def _qos(
+    args: argparse.Namespace, default: Optional[QoSLevel] = _DEFAULT_QOS
+) -> Dict[str, Any]:
+    """The planner's QoS keyword: ``qos_s`` or ``qos_level``.
+
+    ``--qos-ms`` gives ``qos_s``, ``--qos-percent`` a level; with
+    neither flag, ``default`` (no keyword at all when it is None).
+    """
+    if getattr(args, "qos_ms", None) is not None:  # lifetime has no --qos-ms
+        return {"qos_s": args.qos_ms * 1e-3}
+    if args.qos_percent is not None:
+        return {
+            "qos_level": QoSLevel(
+                name=f"{args.qos_percent}%", slack=args.qos_percent / 100.0
+            )
+        }
+    return {} if default is None else {"qos_level": default}
+
+
+def _board(args: argparse.Namespace):
+    """The ``--board`` target, or None for the pipeline's default board."""
+    if not args.board:
+        return None
+    from .boards import build_board
+
+    return build_board(args.board)
 
 
 def _json_mode(args: argparse.Namespace) -> bool:
-    return getattr(args, "json", None) is not None
+    return args.json is not None
 
 
 def _out(args: argparse.Namespace):
@@ -131,30 +158,9 @@ def _emit_json(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
     print(text)
 
 
-def _add_json_flag(p: argparse.ArgumentParser, what: str) -> None:
-    p.add_argument(
-        "--json", nargs="?", const="-", metavar="PATH",
-        help=(
-            f"emit the {what} as JSON on stdout (human text moves to"
-            " stderr); with PATH, also write it there"
-        ),
-    )
-
-
-def _add_trace_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace", metavar="PATH",
-        help=(
-            "record an execution trace and write it here (.jsonl for"
-            " the native format, anything else for Chrome/Perfetto"
-            " JSON)"
-        ),
-    )
-
-
 def _trace_begin(args: argparse.Namespace):
     """Install a process tracer when ``--trace PATH`` was given."""
-    if not getattr(args, "trace", None):
+    if not args.trace:
         return None
     from .obs.tracing import Tracer, install
 
@@ -164,16 +170,16 @@ def _trace_begin(args: argparse.Namespace):
 def _trace_finish(
     args: argparse.Namespace,
     tracer,
-    payload: Optional[Dict[str, Any]] = None,
-) -> Optional[Dict[str, Any]]:
+    payload: Optional[Dict[str, Any]],
+) -> None:
     """Uninstall the tracer, write the trace, attach the summary.
 
-    The summary lands under ``payload["trace"]`` *after* the caller
+    The summary lands under ``payload["trace"]`` *after* the command
     computed any content digest, so tracing never changes a payload's
     own digest.
     """
     if tracer is None:
-        return None
+        return
     from .obs.export import write_trace
     from .obs.tracing import uninstall
 
@@ -187,32 +193,19 @@ def _trace_finish(
     )
     if payload is not None:
         payload["trace"] = summary
-    return summary
-
-
-def _add_metrics_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--metrics", metavar="PATH",
-        help=(
-            "write the final metrics-registry snapshot here as"
-            " canonical JSON with its sha256 digest (inspect with"
-            " `repro-dvfs monitor PATH`)"
-        ),
-    )
 
 
 def _metrics_finish(
-    args: argparse.Namespace,
-    payload: Optional[Dict[str, Any]] = None,
-) -> Optional[Dict[str, Any]]:
+    args: argparse.Namespace, payload: Optional[Dict[str, Any]]
+) -> None:
     """Write the registry snapshot when ``--metrics PATH`` was given.
 
     Mirrors :func:`_trace_finish`: the ``metrics`` summary lands under
-    ``payload["metrics"]`` *after* the caller computed any content
+    ``payload["metrics"]`` *after* the command computed any content
     digest, so metrics capture never changes a payload's own digest.
     """
-    if not getattr(args, "metrics", None):
-        return None
+    if not args.metrics:
+        return
     from .obs.registry import get_registry, snapshot_digest
 
     snapshot = get_registry().snapshot()
@@ -226,47 +219,39 @@ def _metrics_finish(
             )
         )
         fh.write("\n")
-    summary = {
-        "path": args.metrics,
-        "digest": digest,
-        "families": {
-            section: len(snapshot.get(section, {}))
-            for section in ("counters", "gauges", "histograms")
-        },
-    }
     print(
         f"metrics written to {args.metrics} "
         f"(digest {digest[:12]}...)",
         file=_out(args),
     )
     if payload is not None:
-        payload["metrics"] = summary
-    return summary
+        payload["metrics"] = {
+            "path": args.metrics,
+            "digest": digest,
+            "families": {
+                section: len(snapshot.get(section, {}))
+                for section in ("counters", "gauges", "histograms")
+            },
+        }
 
 
-def cmd_summary(args: argparse.Namespace) -> int:
+def cmd_summary(args: argparse.Namespace) -> Result:
     model = _build_model(args.model)
     print(model.summary())
     print(
         f"DAE-eligible conv layers: {model.dae_layer_fraction():.0%} "
         f"({len(model.dae_nodes())}/{len(model.conv_nodes())})"
     )
-    return 0
+    return 0, None
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> Result:
+    from .engine.serialize import plan_to_dict
+    from .serve.protocol import plan_digest
+
     model = _build_model(args.model)
-    if getattr(args, "board", None):
-        from .boards import build_board
-
-        pipeline = DAEDVFSPipeline(
-            board=build_board(args.board), solver=args.solver
-        )
-    else:
-        pipeline = DAEDVFSPipeline(solver=args.solver)
-    result = pipeline.optimize(
-        model, qos_level=_qos_level(args), qos_s=_qos_seconds(args)
-    )
+    pipeline = DAEDVFSPipeline(board=_board(args), solver=args.solver)
+    result = pipeline.optimize(model, **_qos(args))
     plan = result.plan
     if args.harmonize:
         plan = pipeline.harmonize(model, result).plan
@@ -287,41 +272,40 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.output:
         save_plan(plan, args.output)
         print(f"plan written to {args.output}", file=out)
-    if _json_mode(args):
-        from .engine.serialize import plan_to_dict
-        from .serve.protocol import plan_digest
-
-        payload = {
-            "model": args.model,
-            "baseline_latency_s": result.baseline_latency_s,
-            "budget_s": result.qos_s,
-            "fixed_overhead_s": result.fixed_overhead_s,
-            "harmonized": bool(args.harmonize),
-            "plan": plan_to_dict(plan),
-        }
-        # Key present only under --board: default payloads (and their
-        # pinned digests) are unchanged by the board registry.
-        if getattr(args, "board", None):
-            payload["board"] = args.board
-        payload["digest"] = plan_digest(payload)
-        _emit_json(args, payload)
-    return 0
+    payload = {
+        "model": args.model,
+        "baseline_latency_s": result.baseline_latency_s,
+        "budget_s": result.qos_s,
+        "fixed_overhead_s": result.fixed_overhead_s,
+        "harmonized": bool(args.harmonize),
+        "plan": plan_to_dict(plan),
+    }
+    # Key present only under --board: default payloads (and their
+    # pinned digests) are unchanged by the board registry.
+    if args.board:
+        payload["board"] = args.board
+    payload["digest"] = plan_digest(payload)
+    return 0, payload
 
 
-def cmd_deploy(args: argparse.Namespace) -> int:
+def cmd_deploy(args: argparse.Namespace) -> Result:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
     plan = load_plan(args.plan)
-    report = pipeline.deploy(model, plan, qos_s=_qos_seconds(args))
+    qos = _qos(args, default=None)
+    if "qos_level" in qos:  # the budget optimize would have planned for
+        level = qos.pop("qos_level")
+        qos["qos_s"] = level.budget_s(pipeline.baseline_latency_s(model))
+    report = pipeline.deploy(model, plan, **qos)
     print(report.summary())
     print(f"QoS met: {report.met_qos}")
     if args.timeline:
         write_timeline_csv(report, args.timeline)
         print(f"timeline written to {args.timeline}")
-    return 0
+    return 0, None
 
 
-def cmd_codegen(args: argparse.Namespace) -> int:
+def cmd_codegen(args: argparse.Namespace) -> Result:
     import pathlib
 
     from .codegen import generate_firmware
@@ -334,10 +318,10 @@ def cmd_codegen(args: argparse.Namespace) -> int:
         path = outdir / filename
         path.write_text(contents)
         print(f"wrote {path}")
-    return 0
+    return 0, None
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Result:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
     out = _out(args)
@@ -369,12 +353,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "met_qos": row.ours.met_qos,
             }
         )
-    if _json_mode(args):
-        _emit_json(args, {"model": args.model, "rows": rows})
-    return 0
+    return 0, {"model": args.model, "rows": rows}
 
 
-def cmd_microbench(args: argparse.Namespace) -> int:
+def cmd_microbench(args: argparse.Namespace) -> Result:
     pipeline = DAEDVFSPipeline()
     configs = enumerate_configs(
         hse_choices=[16 * MHZ, 25 * MHZ, 50 * MHZ],
@@ -391,17 +373,16 @@ def cmd_microbench(args: argparse.Namespace) -> int:
             f"{r.config.describe():>56s}  {r.power_w * 1e3:7.1f} mW  "
             f"{to_ms(r.latency_s):7.3f} ms/Mops"
         )
-    return 0
+    return 0, None
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
+def cmd_stream(args: argparse.Namespace) -> Result:
     from .engine import IdlePolicy, run_stream
     from .power import ThermalModelParams, thermal_replay
 
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
-    level = _qos_level(args) or QoSLevel(name="30%", slack=0.30)
-    result = pipeline.optimize(model, qos_level=level)
+    result = pipeline.optimize(model, **_qos(args))
     policy = IdlePolicy(args.idle)
     stream = run_stream(
         pipeline.runtime, model, result.plan,
@@ -421,10 +402,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         f"thermal: peak {replay.peak_temperature_c:.1f} C, "
         f"leakage correction {replay.leakage_correction:+.2%}"
     )
-    return 0
+    return 0, None
 
 
-def cmd_hotspots(args: argparse.Namespace) -> int:
+def cmd_hotspots(args: argparse.Namespace) -> Result:
     from .analysis import identify_hotspots
 
     model = _build_model(args.model)
@@ -440,10 +421,10 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
             f" {to_ms(h.latency_s):7.3f}ms {h.latency_share:6.1%}"
             f" {'yes' if h.supports_dae else 'no':>4s}"
         )
-    return 0
+    return 0, None
 
 
-def cmd_boards(args: argparse.Namespace) -> int:
+def cmd_boards(args: argparse.Namespace) -> Result:
     from .boards import DEFAULT_BOARD, board_names, get_spec
 
     if args.show:
@@ -452,8 +433,7 @@ def cmd_boards(args: argparse.Namespace) -> int:
         data["digest"] = spec.digest()
         data["default"] = spec.name == DEFAULT_BOARD
         if _json_mode(args):
-            _emit_json(args, data)
-            return 0
+            return 0, data
         print(f"{spec.name}: {spec.title}")
         print(f"  core {spec.core}, family {spec.family}")
         print(f"  {spec.description}")
@@ -473,7 +453,7 @@ def cmd_boards(args: argparse.Namespace) -> int:
         if spec.calibration:
             print(f"  calibration: {spec.calibration}")
         print(f"  digest: {spec.digest()}")
-        return 0
+        return 0, data
     rows = []
     for name in board_names():
         spec = get_spec(name)
@@ -490,9 +470,9 @@ def cmd_boards(args: argparse.Namespace) -> int:
                 "digest": spec.digest(),
             }
         )
+    payload = {"default": DEFAULT_BOARD, "boards": rows}
     if _json_mode(args):
-        _emit_json(args, {"default": DEFAULT_BOARD, "boards": rows})
-        return 0
+        return 0, payload
     for row in rows:
         mark = "*" if row["default"] else " "
         npu = f", NPU {row['npu']}" if row["npu"] else ""
@@ -501,17 +481,16 @@ def cmd_boards(args: argparse.Namespace) -> int:
             f"up to {row['sysclk_max_mhz']:g} MHz{npu} -- {row['title']}"
         )
     print("(* = default board; `boards --show NAME` for details)")
-    return 0
+    return 0, payload
 
 
-def cmd_crossboard(args: argparse.Namespace) -> int:
+def cmd_crossboard(args: argparse.Namespace) -> Result:
     from .boards import DEFAULT_BOARD, cross_board_report
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
     report = cross_board_report(
         model,
-        qos_s=_qos_seconds(args),
+        qos_s=_qos(args).get("qos_s"),
         qos_percent=args.qos_percent,
         boards=args.board or None,
         reference=args.reference or DEFAULT_BOARD,
@@ -552,27 +531,21 @@ def cmd_crossboard(args: argparse.Namespace) -> int:
         f"  winner: {winner if winner else '(none met the budget)'}",
         file=out,
     )
-    _trace_finish(args, tracer, report)
-    if _json_mode(args):
-        _emit_json(args, report)
-    return 0
+    return 0, report
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> Result:
     from .selftest import run_selftest
 
     result = run_selftest(quick=args.quick)
     print(result.summary(), file=_out(args))
-    if _json_mode(args):
-        _emit_json(args, result.to_dict())
-    return 0 if result.ok else 1
+    return (0 if result.ok else 1), result.to_dict()
 
 
-def cmd_lifetime(args: argparse.Namespace) -> int:
+def cmd_lifetime(args: argparse.Namespace) -> Result:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
-    level = _qos_level(args) or QoSLevel(name="30%", slack=0.30)
-    row = pipeline.compare(model, level)
+    row = pipeline.compare(model, _qos(args)["qos_level"])
     battery = Battery(capacity_mah=args.capacity_mah)
     duty = DutyCycle(windows_per_hour=args.windows_per_hour)
     out = _out(args)
@@ -597,20 +570,15 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
             "days": life.days,
             "energy_per_hour_j": life.energy_per_hour_j,
         }
-    if _json_mode(args):
-        _emit_json(
-            args,
-            {
-                "model": args.model,
-                "capacity_mah": battery.capacity_mah,
-                "windows_per_hour": duty.windows_per_hour,
-                "systems": systems,
-            },
-        )
-    return 0
+    return 0, {
+        "model": args.model,
+        "capacity_mah": battery.capacity_mah,
+        "windows_per_hour": duty.windows_per_hour,
+        "systems": systems,
+    }
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
+def cmd_fleet(args: argparse.Namespace) -> Result:
     from .fleet import (
         FleetScheduler,
         GovernorConfig,
@@ -620,13 +588,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
-    level = _qos_level(args) or QoSLevel(name="30%", slack=0.30)
     fleet = sample_fleet(
         args.devices, seed=args.seed, boards=(args.board or None)
     )
     scheduler = FleetScheduler(
-        model, qos_level=level, max_workers=args.workers
+        model, max_workers=args.workers, **_qos(args)
     )
     results = scheduler.run(fleet, pooled=not args.serial)
     governed = {}
@@ -644,19 +610,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     report = aggregate_fleet(model, qos_s, results, governed)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return 0, report.to_dict()
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
+def cmd_chaos(args: argparse.Namespace) -> Result:
     from .faults import ChaosConfig, FaultPlan, run_campaign
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
     fault_plan = FaultPlan(
         seed=args.fault_seed,
         hse_dropout_rate=args.hse_dropout_rate,
@@ -676,42 +636,28 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     report = run_campaign(model, fault_plan, config)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return 0, report.to_dict()
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
+def cmd_scenario(args: argparse.Namespace) -> Result:
     from .scenario import build_preset, list_presets, run_scenario
 
     if args.list:
         presets = list_presets()
-        if _json_mode(args):
-            _emit_json(args, {"presets": presets})
-        else:
+        if not _json_mode(args):
             for row in presets:
                 print(f"{row['name']:18s} {row['description']}")
-        return 0
+        return 0, {"presets": presets}
     if args.resume:
         from .scenario import resume_scenario
 
-        tracer = _trace_begin(args)
         report = resume_scenario(args.resume)
         print(report.summary(), file=_out(args))
-        payload = report.to_dict() if _json_mode(args) else None
-        _trace_finish(args, tracer, payload)
-        _metrics_finish(args, payload)
-        if payload is not None:
-            _emit_json(args, payload)
-        return 0
+        return 0, report.to_dict()
     if not args.preset:
         raise ReproError(
             "scenario: provide a preset name (or --list to see them)"
         )
-    tracer = _trace_begin(args)
     config = build_preset(
         args.preset,
         devices=args.devices,
@@ -735,12 +681,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     else:
         report = run_scenario(config)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return 0, report.to_dict()
 
 
 def _run_with_checkpoint(config, path: str, after_events: int):
@@ -775,8 +716,9 @@ def _serve_config(args: argparse.Namespace):
     from .serve import ServeConfig
 
     return ServeConfig(
-        host=getattr(args, "host", "127.0.0.1") or "127.0.0.1",
-        port=getattr(args, "port", 0) or 0,
+        # ``plan`` never binds, so it defines neither --host nor --port.
+        host=getattr(args, "host", None) or "127.0.0.1",
+        port=getattr(args, "port", None) or 0,
         solver=args.solver,
         cache_enabled=not args.no_cache,
         cache_capacity=args.cache_capacity,
@@ -797,15 +739,14 @@ def _serve_config(args: argparse.Namespace):
     )
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> Result:
     import asyncio
 
     from .serve import PlanServer, RouterConfig, ShardRouter
 
-    tracer = _trace_begin(args)
     config = _serve_config(args)
-    config.default_board = getattr(args, "board", None)
-    shards = getattr(args, "shards", 0) or 0
+    config.default_board = args.board
+    shards = args.shards
 
     async def _run_sharded() -> None:
         router = ShardRouter(
@@ -815,7 +756,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 port=config.port,
                 health_interval_s=args.health_interval_s,
                 serve=config,
-                journal_path=getattr(args, "journal", None),
+                journal_path=args.journal,
             )
         )
         await router.start()
@@ -853,17 +794,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("draining and shutting down", file=sys.stderr)
-    _trace_finish(args, tracer)
-    _metrics_finish(args)
-    return 0
+    return 0, None
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
+def cmd_loadgen(args: argparse.Namespace) -> Result:
     from .serve import LoadGenConfig, run_loadgen
 
     config = LoadGenConfig(
         model=args.model,
-        board=getattr(args, "board", None),
+        board=args.board,
         models=tuple(args.models or ()),
         qos_percents=tuple(args.qos_percents),
         requests=args.requests,
@@ -878,8 +817,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         slo_p99_ms=args.slo_p99_ms,
         verify_digests=not args.no_verify,
         serve=_serve_config(args),
-        shards=getattr(args, "shards", 0) or 0,
-        journal_path=getattr(args, "journal", None),
+        shards=args.shards,
+        journal_path=args.journal,
         target_host=args.host,
         target_port=args.port,
     )
@@ -913,13 +852,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"({'met' if gate['met'] else 'MISSED'})",
             file=out,
         )
-    if _json_mode(args):
-        _emit_json(args, summary)
     ok = summary["cache_consistent"] and summary["slo_met"]
-    return 0 if ok else 1
+    return (0 if ok else 1), summary
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> Result:
     """One plan request through the full in-process serve path.
 
     Unlike ``optimize`` (which calls the pipeline directly), this
@@ -935,7 +872,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from .serve.protocol import ErrorPayload, exception_from_error
 
     _build_model(args.model)  # fail fast on unknown models
-    tracer = _trace_begin(args)
     config = _serve_config(args)
     params: Dict[str, Any] = {"model": args.model}
     if args.qos_percent is not None:
@@ -944,7 +880,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         params["qos_ms"] = args.qos_ms
     if args.no_cache:
         params["no_cache"] = True
-    if getattr(args, "board", None):
+    if args.board:
         params["board"] = args.board
     request = {
         "v": 1,
@@ -962,8 +898,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     response = asyncio.run(_run())
     if not response.get("ok", False):
-        _trace_finish(args, tracer)
-        _metrics_finish(args)
         raise exception_from_error(
             ErrorPayload.from_dict(response.get("error", {}))
         )
@@ -980,14 +914,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     )
     # The trace and metrics summaries ride outside the core payload:
     # result["digest"] was computed server-side before either attached.
-    _trace_finish(args, tracer, result)
-    _metrics_finish(args, result)
-    if _json_mode(args):
-        _emit_json(args, result)
-    return 0
+    return 0, result
 
 
-def cmd_obs(args: argparse.Namespace) -> int:
+def cmd_obs(args: argparse.Namespace) -> Result:
     """Inspect a JSONL trace: digest, span counts, optional conversion."""
     from collections import Counter
 
@@ -1019,19 +949,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
             json.dump(chrome_trace(records), fh, sort_keys=True)
         chrome_path = args.chrome
         print(f"chrome trace written to {chrome_path}", file=out)
-    if _json_mode(args):
-        _emit_json(
-            args,
-            {
-                "path": args.trace_file,
-                "spans": len(records),
-                "digest": digest,
-                "names": dict(sorted(names.items())),
-                "correlations": correlations,
-                "chrome": chrome_path,
-            },
-        )
-    return 0
+    return 0, {
+        "path": args.trace_file,
+        "spans": len(records),
+        "digest": digest,
+        "names": dict(sorted(names.items())),
+        "correlations": correlations,
+        "chrome": chrome_path,
+    }
 
 
 def _load_metrics_snapshot(path: str) -> Dict[str, Any]:
@@ -1091,7 +1016,7 @@ def _fetch_metrics(host: str, port: int) -> Dict[str, Any]:
         ) from err
 
 
-def cmd_monitor(args: argparse.Namespace) -> int:
+def cmd_monitor(args: argparse.Namespace) -> Result:
     """Tail, roll up, lint, and SLO-check registry snapshots.
 
     One snapshot tails the registry as a single window-sized delta
@@ -1242,6 +1167,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if args.prom is not None:
         if args.prom == "-":
             print(exposition, end="", file=out)
+            payload["exposition"] = exposition
         else:
             with open(args.prom, "w", encoding="utf-8") as fh:
                 fh.write(exposition)
@@ -1256,11 +1182,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             rc = 1
         else:
             print("  lint: exposition clean", file=out)
-    if _json_mode(args):
-        if args.prom == "-":
-            payload["exposition"] = exposition
-        _emit_json(args, payload)
-    return rc
+    return rc, payload
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1270,19 +1192,33 @@ def make_parser() -> argparse.ArgumentParser:
         description="DAE-enabled DVFS for tinyML on STM32 (DATE 2024 repro)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = []
+
+    def command(name, func, help, json=None, trace=False, metrics=False):
+        """Register a subcommand; ``json`` names its payload, if any.
+
+        Every namespace carries ``json``/``trace``/``metrics`` (None
+        where the command lacks the flag) for :func:`main`; the flags
+        themselves follow the command's own options in ``--help``.
+        """
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, json=None, trace=None, metrics=None)
+        shared.append((p, json, trace, metrics))
+        return p
 
     def add_model(p):
         p.add_argument("model", help=f"one of {sorted(MODEL_BUILDERS)}")
 
-    def add_qos(p, required=False):
+    def add_qos(p, required=False, absolute=True):
         group = p.add_mutually_exclusive_group(required=required)
         group.add_argument(
             "--qos-percent", type=float,
             help="latency slack over the TinyEngine baseline, in percent",
         )
-        group.add_argument(
-            "--qos-ms", type=float, help="absolute latency budget in ms"
-        )
+        if absolute:
+            group.add_argument(
+                "--qos-ms", type=float, help="absolute latency budget in ms"
+            )
 
     def add_board(p):
         p.add_argument(
@@ -1299,11 +1235,13 @@ def make_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    p = sub.add_parser("summary", help="print a model's layer table")
+    p = command("summary", cmd_summary, help="print a model's layer table")
     add_model(p)
-    p.set_defaults(func=cmd_summary)
 
-    p = sub.add_parser("optimize", help="produce a deployment plan")
+    p = command(
+        "optimize", cmd_optimize, help="produce a deployment plan",
+        json="plan payload (with sha256 digest)",
+    )
     add_model(p)
     add_qos(p, required=True)
     add_board(p)
@@ -1311,39 +1249,38 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--harmonize", action="store_true",
                    help="run the re-lock reduction pass on the plan")
     p.add_argument("--output", "-o", help="write the plan JSON here")
-    _add_json_flag(p, "plan payload (with sha256 digest)")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("deploy", help="execute a saved plan")
+    p = command("deploy", cmd_deploy, help="execute a saved plan")
     add_model(p)
     add_qos(p)
     p.add_argument("--plan", required=True, help="plan JSON to execute")
     p.add_argument("--timeline", help="write a CSV execution timeline here")
-    p.set_defaults(func=cmd_deploy)
 
-    p = sub.add_parser(
-        "codegen", help="emit C firmware scaffolding from a saved plan"
+    p = command(
+        "codegen", cmd_codegen,
+        help="emit C firmware scaffolding from a saved plan",
     )
     add_model(p)
     p.add_argument("--plan", required=True, help="plan JSON to translate")
     p.add_argument("--outdir", default=".", help="output directory")
-    p.set_defaults(func=cmd_codegen)
 
-    p = sub.add_parser("compare", help="ours vs the TinyEngine baselines")
+    p = command(
+        "compare", cmd_compare, help="ours vs the TinyEngine baselines",
+        json="comparison table",
+    )
     add_model(p)
     p.add_argument(
         "--qos-percents", type=int, nargs="+", default=[10, 30, 50]
     )
-    _add_json_flag(p, "comparison table")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "microbench", help="Fig. 2 style clock/power characterization"
+    p = command(
+        "microbench", cmd_microbench,
+        help="Fig. 2 style clock/power characterization",
     )
-    p.set_defaults(func=cmd_microbench)
 
-    p = sub.add_parser(
-        "stream", help="periodic-window streaming + thermal replay"
+    p = command(
+        "stream", cmd_stream,
+        help="periodic-window streaming + thermal replay",
     )
     add_model(p)
     add_qos(p)
@@ -1351,17 +1288,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--idle", choices=("hot", "gated", "stop"), default="gated"
     )
-    p.set_defaults(func=cmd_stream)
 
-    p = sub.add_parser(
-        "hotspots", help="rank layers by baseline latency (Step 1A)"
+    p = command(
+        "hotspots", cmd_hotspots,
+        help="rank layers by baseline latency (Step 1A)",
     )
     add_model(p)
     p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=cmd_hotspots)
 
-    p = sub.add_parser(
-        "boards", help="list the registered board targets"
+    p = command(
+        "boards", cmd_boards, help="list the registered board targets",
+        json="board descriptor(s)",
     )
     p.add_argument(
         "--list", action="store_true",
@@ -1371,12 +1308,11 @@ def make_parser() -> argparse.ArgumentParser:
         "--show", metavar="NAME", default=None,
         help="print one board's full descriptor",
     )
-    _add_json_flag(p, "board descriptor(s)")
-    p.set_defaults(func=cmd_boards)
 
-    p = sub.add_parser(
-        "crossboard",
+    p = command(
+        "crossboard", cmd_crossboard,
         help="cross-board DSE: which board meets a QoS at least energy",
+        json="cross-board ranking (with sha256 digest)", trace=True,
     )
     add_model(p)
     add_qos(p, required=True)
@@ -1389,21 +1325,20 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--solver", choices=("dp", "greedy"), default="dp")
-    _add_json_flag(p, "cross-board ranking (with sha256 digest)")
-    _add_trace_flag(p)
-    p.set_defaults(func=cmd_crossboard)
 
-    p = sub.add_parser("selftest", help="fast installation sanity sweep")
+    p = command(
+        "selftest", cmd_selftest, help="fast installation sanity sweep",
+        json="check results",
+    )
     p.add_argument(
         "--quick", action="store_true",
         help="only the cheap structural checks (the serve health subset)",
     )
-    _add_json_flag(p, "check results")
-    p.set_defaults(func=cmd_selftest)
 
-    p = sub.add_parser(
-        "fleet",
+    p = command(
+        "fleet", cmd_fleet,
         help="plan a heterogeneous device fleet and supervise drift",
+        json="full fleet report", trace=True, metrics=True,
     )
     p.add_argument(
         "model", nargs="?", default="tiny",
@@ -1429,14 +1364,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="governor telemetry epochs per device (0 disables)",
     )
     add_board_mix(p)
-    _add_json_flag(p, "full fleet report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
-    p.set_defaults(func=cmd_fleet)
 
-    p = sub.add_parser(
-        "chaos",
+    p = command(
+        "chaos", cmd_chaos,
         help="seeded fault-injection campaign over a fleet",
+        json="survival report", trace=True, metrics=True,
     )
     p.add_argument(
         "model", nargs="?", default="tiny",
@@ -1487,14 +1419,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="watchdog-reset probability per layer checkpoint",
     )
     add_board_mix(p)
-    _add_json_flag(p, "survival report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
-    p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser(
-        "scenario",
+    p = command(
+        "scenario", cmd_scenario,
         help="simulate a fleet lifecycle preset over simulated days",
+        json="scenario report", trace=True, metrics=True,
     )
     p.add_argument(
         "preset", nargs="?", default=None,
@@ -1541,18 +1470,15 @@ def make_parser() -> argparse.ArgumentParser:
         " to the uninterrupted run); no preset needed",
     )
     add_board_mix(p)
-    _add_json_flag(p, "scenario report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
-    p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("lifetime", help="battery-lifetime projection")
+    p = command(
+        "lifetime", cmd_lifetime, help="battery-lifetime projection",
+        json="lifetime projection",
+    )
     add_model(p)
-    add_qos(p)
+    add_qos(p, absolute=False)  # compare is defined at a slack level
     p.add_argument("--capacity-mah", type=float, default=1200.0)
     p.add_argument("--windows-per-hour", type=float, default=60.0)
-    _add_json_flag(p, "lifetime projection")
-    p.set_defaults(func=cmd_lifetime)
 
     def add_serve_tuning(p):
         p.add_argument(
@@ -1604,9 +1530,10 @@ def make_parser() -> argparse.ArgumentParser:
             help="deadline applied to requests that carry none",
         )
 
-    p = sub.add_parser(
-        "serve",
+    p = command(
+        "serve", cmd_serve,
         help="JSON-lines planning service over TCP (Ctrl-C to drain)",
+        trace=True, metrics=True,
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -1636,13 +1563,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_board(p)
     add_serve_tuning(p)
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
-        "plan",
+    p = command(
+        "plan", cmd_plan,
         help="one plan request through the in-process serve path",
+        json="served plan payload (with sha256 digest)", trace=True,
+        metrics=True,
     )
     add_model(p)
     add_qos(p, required=True)
@@ -1655,29 +1581,26 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_board(p)
     add_serve_tuning(p)
-    _add_json_flag(p, "served plan payload (with sha256 digest)")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
-    p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser(
-        "obs",
+    p = command(
+        "obs", cmd_obs,
         help="inspect a recorded JSONL trace (digest, spans, convert)",
+        json="trace summary",
     )
     p.add_argument("trace_file", help="JSONL trace from --trace")
     p.add_argument(
         "--chrome", metavar="PATH",
         help="also convert to Chrome/Perfetto trace JSON here",
     )
-    _add_json_flag(p, "trace summary")
-    p.set_defaults(func=cmd_obs)
 
-    p = sub.add_parser(
+    p = command(
         "monitor",
+        cmd_monitor,
         help=(
             "tail/rollup/lint/SLO-check registry snapshots"
             " (--metrics files or a live server's metrics op)"
         ),
+        json="monitor report",
     )
     p.add_argument(
         "snapshots", nargs="*", metavar="SNAPSHOT",
@@ -1709,15 +1632,15 @@ def make_parser() -> argparse.ArgumentParser:
         "--slo", action="store_true",
         help="judge the default serve+scenario SLOs on the rollup",
     )
-    _add_json_flag(p, "monitor report")
-    p.set_defaults(func=cmd_monitor)
 
-    p = sub.add_parser(
+    p = command(
         "loadgen",
+        cmd_loadgen,
         help=(
             "seeded load generator for the serve layer (closed-loop,"
             " burst, multi-client open-loop with SLO gates)"
         ),
+        json="load-generation summary",
     )
     p.add_argument(
         "--model", default="tiny",
@@ -1790,9 +1713,34 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--port", type=int, default=None)
     add_serve_tuning(p)
-    _add_json_flag(p, "load-generation summary")
-    p.set_defaults(func=cmd_loadgen)
 
+    for p, what, trace, metrics in shared:
+        if what:
+            p.add_argument(
+                "--json", nargs="?", const="-", metavar="PATH",
+                help=(
+                    f"emit the {what} as JSON on stdout (human text moves"
+                    " to stderr); with PATH, also write it there"
+                ),
+            )
+        if trace:
+            p.add_argument(
+                "--trace", metavar="PATH",
+                help=(
+                    "record an execution trace and write it here (.jsonl"
+                    " for the native format, anything else for"
+                    " Chrome/Perfetto JSON)"
+                ),
+            )
+        if metrics:
+            p.add_argument(
+                "--metrics", metavar="PATH",
+                help=(
+                    "write the final metrics-registry snapshot here as"
+                    " canonical JSON with its sha256 digest (inspect with"
+                    " `repro-dvfs monitor PATH`)"
+                ),
+            )
     return parser
 
 
@@ -1803,24 +1751,22 @@ def main(argv: Optional[list] = None) -> int:
     (or a failed check); argparse exits with 2 on usage errors.
     """
     args = make_parser().parse_args(argv)
+    tracer = _trace_begin(args)
+    rc, payload = 1, None
     try:
-        return args.func(args)
+        rc, payload = args.func(args)
     except ReproError as err:
-        print(f"error: {err}", file=sys.stderr)
-        if _json_mode(args):
-            from .serve.protocol import error_from_exception
+        from .serve.protocol import error_from_exception
 
-            print(
-                json.dumps(
-                    {
-                        "ok": False,
-                        "error": error_from_exception(err).to_dict(),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        return 1
+        print(f"error: {err}", file=sys.stderr)
+        payload = {"ok": False, "error": error_from_exception(err).to_dict()}
+    finally:
+        # Failed runs keep their artifacts and never leak the tracer.
+        _trace_finish(args, tracer, payload)
+        _metrics_finish(args, payload)
+    if payload is not None and _json_mode(args):
+        _emit_json(args, payload)
+    return rc
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .batcher import PlanBatcher
 from .cache import PlanCache
 from .client import InProcessClient, ServeClient
 from .loadgen import LoadGenConfig, run_loadgen
-from .metrics import LatencyHistogram, ServeMetrics
+from .metrics import ServeMetrics
 from .protocol import (
     PROTOCOL_VERSION,
     ErrorPayload,
@@ -58,7 +58,6 @@ __all__ = [
     "ErrorPayload",
     "HashRing",
     "InProcessClient",
-    "LatencyHistogram",
     "LoadGenConfig",
     "LocalSharedCache",
     "ManagedSharedCache",

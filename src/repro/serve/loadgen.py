@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import OverloadedError, ReproError
+from ..obs.registry import LatencyHistogram
 from .client import InProcessClient, ServeClient
-from .metrics import LatencyHistogram
 from .router import RouterConfig, ShardRouter
 from .server import PlanServer, ServeConfig
 

@@ -7,12 +7,10 @@ per-bucket counts), queue depth (current and peak), shed counts by
 reason, batch coalescing ratios and the plan cache's
 hit/miss/eviction counters.
 
-:class:`LatencyHistogram` now lives in :mod:`repro.obs.registry` --
-the process-wide metrics registry -- and is re-exported here so
-existing imports keep working.  :class:`ServeMetrics` additionally
-mirrors its counters into the default registry, so the serve numbers
-appear alongside pipeline/fleet metrics in one
-:meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
+Its histograms are :class:`~repro.obs.registry.LatencyHistogram`
+instances, and :class:`ServeMetrics` mirrors its counters into the
+default registry, so the serve numbers appear alongside pipeline/fleet
+metrics in one :meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
 
 Everything is lock-protected and cheap to record -- one bisect and a
 few integer adds per request -- so metrics never become the reason the
@@ -24,9 +22,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict
 
-from ..obs.registry import LatencyHistogram, _log_bounds, get_registry
+from ..obs.registry import LatencyHistogram, get_registry
 
-__all__ = ["LatencyHistogram", "ServeMetrics", "_log_bounds"]
+__all__ = ["ServeMetrics"]
 
 
 class ServeMetrics:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve.metrics import LatencyHistogram, ServeMetrics
+from repro.obs.registry import LatencyHistogram
+from repro.serve.metrics import ServeMetrics
 
 
 class TestLatencyHistogram:

@@ -328,3 +328,83 @@ class TestMonitorCommand:
 
     def test_monitor_requires_a_source(self, capsys):
         assert main(["monitor"]) != 0
+
+
+class TestFailedRunArtifacts:
+    """A failing traced command still writes --trace/--metrics."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--devices", "2", "--epochs", "0"],
+            ["scenario", "zero-event"],
+        ],
+        ids=["fleet", "scenario"],
+    )
+    def test_failure_writes_artifacts_and_uninstalls_tracer(
+        self, capsys, tmp_path, argv
+    ):
+        from repro.obs.export import load_jsonl
+        from repro.obs.tracing import get_tracer, uninstall
+
+        trace = tmp_path / "fail.jsonl"
+        metrics = tmp_path / "fail.metrics.json"
+        try:
+            code = main(
+                argv + ["--board", "nosuch", "--trace", str(trace),
+                        "--metrics", str(metrics)]
+            )
+            leaked = get_tracer()
+        finally:
+            uninstall()
+        assert code == 1
+        assert "unknown board" in capsys.readouterr().err
+        assert trace.exists() and metrics.exists()
+        assert isinstance(load_jsonl(str(trace)), list)
+        assert "registry" in json.loads(metrics.read_text())
+        assert leaked is None
+
+
+class TestQoSFlagsHonoured:
+    """Every accepted QoS flag reaches the planner."""
+
+    @staticmethod
+    def _baseline_s():
+        from repro.nn import build_tiny_test_model
+        from repro.pipeline import DAEDVFSPipeline
+
+        return DAEDVFSPipeline().baseline_latency_s(build_tiny_test_model())
+
+    def test_fleet_qos_ms_sets_budget(self, capsys):
+        code = main(
+            ["fleet", "--devices", "2", "--epochs", "0", "--serial",
+             "--qos-ms", "2.0", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["qos_ms"] == pytest.approx(2.0)
+
+    def test_stream_qos_ms_sets_period(self, capsys):
+        code = main(
+            ["stream", "tiny", "--qos-ms", "2.0", "--windows", "2"]
+        )
+        assert code == 0
+        assert "2 windows of 2.00 ms" in capsys.readouterr().out
+
+    def test_deploy_qos_percent_sets_window(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        main(["optimize", "tiny", "--qos-percent", "30",
+              "--output", str(plan_path)])
+        capsys.readouterr()
+        code = main(
+            ["deploy", "tiny", "--plan", str(plan_path),
+             "--qos-percent", "10"]
+        )
+        assert code == 0
+        window_ms = self._baseline_s() * 1.1 * 1e3
+        assert f"over a {window_ms:.3f} ms window" in capsys.readouterr().out
+
+    def test_lifetime_rejects_qos_ms(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["lifetime", "tiny", "--qos-ms", "2.0"])
+        assert exc.value.code == 2
