@@ -27,6 +27,7 @@ examples:
 results:
 	cat benchmarks/results/*.txt
 
+# benchmarks/results/ holds the tracked E1-E17 tables: never delete it.
 clean:
-	rm -rf benchmarks/results .pytest_cache
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -14,8 +14,8 @@ independent, shared caches publish canonical values with
 ``setdefault``, and results are reported in device-id order.
 
 The ``share=False`` mode prices every device from scratch on a private
-pipeline (the PR-1 single-device cost, N times) -- it exists as the
-honest baseline the fleet benchmark compares against.
+pipeline (the single-device cost, N times) -- the baseline
+``tests/fleet/test_scheduler.py`` checks sharing against, bit for bit.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class FleetScheduler:
         max_workers: thread-pool width for :meth:`run_pooled`.
         share: wire devices into the fleet-shared pricing state.  Off,
             every device pays the full single-device planning cost on
-            a private pipeline (the benchmark's serial baseline).
+            a private pipeline (the unshared baseline).
         fault_plan: optional :class:`~repro.faults.plan.FaultPlan`;
             every device deploys under its own deterministic fault
             stream (spawn-keyed by device id, so results are invariant

@@ -9,8 +9,8 @@ complete set of mutable state reached after N event dispatches, and
 resuming from it replays the remaining events over byte-identical
 state, so the resumed run's :class:`~repro.scenario.report.ScenarioReport`
 digest equals the uninterrupted run's.  That invariant is enforced in
-``tests/scenario/test_checkpoint.py`` and gated in
-``benchmarks/bench_scenario.py``.
+``tests/scenario/test_checkpoint.py`` and by CI's steady-diurnal
+resume ``cmp``.
 
 The snapshot deliberately stores *state dicts*, not live objects with
 pipelines inside: governors, oracle twins and fault clocks are rebuilt

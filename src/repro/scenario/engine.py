@@ -1248,9 +1248,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 def resume_scenario(path: str) -> ScenarioReport:
     """Resume a checkpointed run to completion; returns its report.
 
-    The invariant this rests on (gated in tests and
-    ``bench_scenario``): resuming at *any* event boundary produces a
-    report byte-identical -- same digest -- to the uninterrupted run.
+    The invariant this rests on (pinned by
+    ``tests/scenario/test_checkpoint.py``): resuming at *any* event
+    boundary produces a report byte-identical -- same digest -- to the
+    uninterrupted run.
     """
     engine = ScenarioEngine.resume(load_checkpoint(path))
     try:

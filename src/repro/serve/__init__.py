@@ -45,11 +45,7 @@ from .protocol import (
 from .router import HashRing, RouterConfig, ShardRouter, shard_key
 from .server import PlanServer, ServeConfig
 from .service import PlanService
-from .shared_cache import (
-    LocalSharedCache,
-    ManagedSharedCache,
-    managed_shared_cache,
-)
+from .shared_cache import SharedCache, managed_shared_cache
 from .worker import worker_main
 
 __all__ = [
@@ -59,8 +55,6 @@ __all__ = [
     "HashRing",
     "InProcessClient",
     "LoadGenConfig",
-    "LocalSharedCache",
-    "ManagedSharedCache",
     "PROTOCOL_VERSION",
     "PlanBatcher",
     "PlanCache",
@@ -73,6 +67,7 @@ __all__ = [
     "ServeConfig",
     "ServeMetrics",
     "ShardRouter",
+    "SharedCache",
     "TokenBucket",
     "decode_request",
     "decode_response",

@@ -13,7 +13,7 @@ Both gates take their time from an injectable clock.  The default is
 ``time.monotonic``; tests and the deterministic load generator inject
 an :class:`ArrivalClock` that advances a fixed amount per *arrival*,
 making every shed decision a pure function of the arrival sequence
-(the benchmark's reproducible-shed-count gate).
+(pinned by ``tests/serve/test_loadgen.py::TestBurstOverload``).
 """
 
 from __future__ import annotations

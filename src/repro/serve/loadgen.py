@@ -15,7 +15,9 @@ Three shapes of load:
 * **burst** (``burst=True``): every request is submitted in one event
   loop iteration before any can complete.  Admission decisions then
   depend only on submission order, so shed counts reproduce exactly
-  run over run -- the overload-determinism gate of ``BENCH_serve``.
+  run over run (pinned by ``tests/serve/test_loadgen.py``
+  ``TestBurstOverload`` and, per shard, ``tests/serve/test_router.py``
+  ``TestShardedLoadgen``).
 * **open loop** (``open_loop=True``): requests are dispatched on a
   fixed arrival timetable (``arrival_rate_rps``) regardless of how
   fast responses come back -- the production-shaped harness where a

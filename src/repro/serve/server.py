@@ -219,8 +219,8 @@ class PlanServer(JsonLinesListener):
         config: everything else.
         shared_cache: optional cross-worker plan-cache tier handed to
             the :class:`~repro.serve.service.PlanService` (shard
-            workers receive the router's
-            :class:`~repro.serve.shared_cache.ManagedSharedCache`).
+            workers receive the router's manager-backed
+            :class:`~repro.serve.shared_cache.SharedCache`).
     """
 
     def __init__(

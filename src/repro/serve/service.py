@@ -16,7 +16,7 @@ Everything here is blocking and thread-safe; the asyncio layer
 (:mod:`repro.serve.batcher`, :mod:`repro.serve.server`) drives it from
 an executor.  Plans are deterministic functions of their inputs, so a
 payload served from the cache is byte-identical (sha256) to a freshly
-computed one -- the benchmark gate.
+computed one (the load generator's digest-consistency check).
 """
 
 from __future__ import annotations

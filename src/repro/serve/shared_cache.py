@@ -7,16 +7,15 @@ payload once as canonical JSON (the exact bytes
 ``digest`` field, plus an index mapping plan-cache keys to digests.
 A worker that computes a plan publishes it; every other worker's next
 miss on the same key deserializes the same bytes and therefore serves
-a payload whose digest is identical to a single-process solve -- the
-sharding acceptance gate.
+a payload whose digest is identical to a single-process solve
+(pinned by ``tests/serve/test_router.py::TestRouterEndToEnd``).
 
-Two implementations share one surface (``lookup`` / ``publish`` /
-``stats``):
+One class, :class:`SharedCache`, serves both deployments; only where
+its maps and lock come from differs:
 
-* :class:`LocalSharedCache` -- plain dicts behind a lock.  The
-  single-process tier, and the reference implementation tests pin
-  behavior against.
-* :class:`ManagedSharedCache` -- the same maps as
+* ``SharedCache()`` -- plain dicts behind a :class:`threading.Lock`,
+  the single-process tier;
+* :func:`managed_shared_cache` -- the same class over
   :mod:`multiprocessing` manager proxies, so ``spawn``-ed shard
   workers share one tier.  The handle pickles across the process
   boundary; all mutation happens under one manager-side lock.
@@ -103,22 +102,33 @@ def _payload_digest(payload: Dict[str, Any]) -> str:
     return computed
 
 
-class _SharedCacheBase:
-    """Shared get/put logic over injectable map + lock primitives.
+class SharedCache:
+    """Digest-addressed plan store over injectable maps and a lock.
 
-    Subclasses provide ``_index`` (wire key -> digest), ``_payloads``
-    (digest -> canonical JSON string), ``_requests`` (request key ->
-    digest, the degraded-serving index), ``_counters`` (str -> int)
-    and ``_lock``; everything else -- digest addressing, verification,
-    capacity -- lives here so both tiers behave identically.
+    Args:
+        capacity: soft bound on index entries (see the module notes).
+        maps: ``(index, payloads, requests, counters)`` -- wire key ->
+            digest, digest -> canonical JSON, request key -> digest
+            (the degraded-serving index), and str -> int counters.
+            Fresh dicts when omitted.  All four come from one place,
+            so a cross-process tier cannot end up with a private map.
+        lock: guards every map; a :class:`threading.Lock` when omitted.
     """
 
-    capacity: int
-    _index: Any
-    _payloads: Any
-    _requests: Any
-    _counters: Any
-    _lock: Any
+    def __init__(
+        self,
+        capacity: int = 1024,
+        *,
+        maps: Optional[Tuple[Any, Any, Any, Any]] = None,
+        lock: Any = None,
+    ):
+        if capacity < 1:
+            raise ReproError("shared cache capacity must be >= 1")
+        self.capacity = capacity
+        if maps is None:
+            maps = ({}, {}, {}, {})
+        self._index, self._payloads, self._requests, self._counters = maps
+        self._lock = lock if lock is not None else threading.Lock()
 
     def _verified(self, digest: str, raw: str, index: Any, wk: str):
         """Deserialize + digest-verify stored bytes (None on corrupt)."""
@@ -255,49 +265,15 @@ class _SharedCacheBase:
         }
 
 
-class LocalSharedCache(_SharedCacheBase):
-    """In-process tier: plain dicts behind a threading lock."""
+def managed_shared_cache(manager, capacity: int = 1024) -> SharedCache:
+    """A :class:`SharedCache` over a ``multiprocessing.Manager``.
 
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ReproError("shared cache capacity must be >= 1")
-        self.capacity = capacity
-        self._index: Dict[str, str] = {}
-        self._payloads: Dict[str, str] = {}
-        self._requests: Dict[str, str] = {}
-        self._counters: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-
-class ManagedSharedCache(_SharedCacheBase):
-    """Cross-process tier over :mod:`multiprocessing` manager proxies.
-
-    Build with :func:`managed_shared_cache` in the router process and
-    pass the instance to spawned workers -- the proxies (and the
-    manager lock) pickle into a handle that reconnects to the same
-    manager-side maps.
+    Build it in the router process and pass it to spawned workers: the
+    proxies (and the manager lock) pickle into a handle that
+    reconnects to the same manager-side maps.
     """
-
-    def __init__(
-        self, index, payloads, counters, lock, capacity: int, requests=None
-    ):
-        if capacity < 1:
-            raise ReproError("shared cache capacity must be >= 1")
-        self.capacity = capacity
-        self._index = index
-        self._payloads = payloads
-        self._requests = requests if requests is not None else {}
-        self._counters = counters
-        self._lock = lock
-
-
-def managed_shared_cache(manager, capacity: int = 1024) -> ManagedSharedCache:
-    """A :class:`ManagedSharedCache` over a ``multiprocessing.Manager``."""
-    return ManagedSharedCache(
-        index=manager.dict(),
-        payloads=manager.dict(),
-        counters=manager.dict(),
+    return SharedCache(
+        capacity,
+        maps=tuple(manager.dict() for _ in range(4)),
         lock=manager.Lock(),
-        capacity=capacity,
-        requests=manager.dict(),
     )

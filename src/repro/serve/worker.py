@@ -79,8 +79,9 @@ def worker_main(
         config: the per-worker :class:`ServeConfig`; ``port`` should
             be 0 so each worker binds a free loopback port.
         shared_cache: the router's cross-worker plan-cache tier
-            (a picklable :class:`~repro.serve.shared_cache.\
-ManagedSharedCache` handle), or None to run isolated.
+            (a picklable manager-backed
+            :class:`~repro.serve.shared_cache.SharedCache` handle), or
+            None to run isolated.
     """
     import dataclasses
 

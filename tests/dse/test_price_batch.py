@@ -108,3 +108,30 @@ class TestExplorerUsesBatch:
             )
             assert point.latency_s == pytest.approx(lat, rel=REL_TOL)
             assert point.energy_j == pytest.approx(en, rel=REL_TOL)
+
+    def test_one_batch_call_per_layer_granularity(
+        self, board, space, tiny_model, monkeypatch
+    ):
+        """The explore speedup as a count: every (layer, g) prices its
+        whole HFO row in one ``price_batch`` call, never per HFO."""
+        batch_calls = []
+        price_batch = LayerCostModel.price_batch
+
+        def counted(self, trace, *args, **kwargs):
+            batch_calls.append(trace.granularity)
+            return price_batch(self, trace, *args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("explorer fell back to scalar pricing")
+
+        monkeypatch.setattr(LayerCostModel, "price_batch", counted)
+        monkeypatch.setattr(LayerCostModel, "price", scalar)
+        clouds = DSEExplorer(board, space).explore_model(tiny_model)
+        rows = sum(
+            len(space.granularities) if node.layer.supports_dae else 1
+            for node in tiny_model.conv_nodes()
+        )
+        assert len(batch_calls) == rows
+        assert sum(len(points) for points in clouds.values()) == (
+            rows * len(space.hfo_configs)
+        )

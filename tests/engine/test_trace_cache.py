@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dse import paper_design_space
+from repro.dse.explorer import DSEExplorer
 from repro.engine.cost import TraceBuilder, model_fingerprint
 from repro.errors import TraceError
 from repro.nn import LayerKind, build_tiny_test_model
@@ -64,6 +66,28 @@ class TestMemoization:
         assert first is not second
         assert tracer.cache_hits == 0
         assert tracer.cache_misses == 0
+
+    def test_explore_builds_each_layer_granularity_once(
+        self, board, tiny_model
+    ):
+        """The explore speedup as a count: one build per (layer, g).
+
+        A second explorer sharing the trace cache (another QoS level,
+        another fleet device) re-explores without building anything.
+        """
+        tracer = TraceBuilder(board)
+        space = paper_design_space(board.power_model)
+        keys = {
+            (node.node_id, g if node.layer.supports_dae else 0)
+            for node in tiny_model.conv_nodes()
+            for g in space.granularities
+        }
+        DSEExplorer(board, space, tracer=tracer).explore_model(tiny_model)
+        assert tracer.cache_misses == len(keys)
+        assert tracer.cache_hits == 0
+        DSEExplorer(board, space, tracer=tracer).explore_model(tiny_model)
+        assert tracer.cache_misses == len(keys)
+        assert tracer.cache_hits == len(keys)
 
     def test_negative_granularity_still_rejected(self, board, tiny_model):
         tracer = TraceBuilder(board)

@@ -31,6 +31,30 @@ MIXED_RATES = dict(
     watchdog_rate=0.002,
 )
 
+#: An off / low / high sweep of the device-level fault rates.
+RATE_LEVELS = {
+    "off": {},
+    "low": dict(
+        hse_dropout_rate=0.01,
+        pll_lock_timeout_rate=0.02,
+        sensor_dropout_rate=0.02,
+        sensor_stuck_rate=0.01,
+        sensor_nack_rate=0.01,
+        brownout_rate=0.02,
+        watchdog_rate=0.001,
+    ),
+    "high": dict(
+        hse_dropout_rate=0.05,
+        pll_lock_timeout_rate=0.10,
+        sensor_dropout_rate=0.10,
+        sensor_stuck_rate=0.05,
+        sensor_nack_rate=0.05,
+        brownout_rate=0.10,
+        watchdog_rate=0.005,
+    ),
+}
+SWEEP_CONFIG = dict(devices=32, seed=0, epochs=3)
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -93,6 +117,32 @@ class TestAcceptanceCampaign:
         report, _ = campaign
         assert report.n_devices == 64
         assert report.quarantine_free_fraction >= 0.90
+
+    @pytest.mark.parametrize("level", sorted(RATE_LEVELS))
+    def test_mostly_survive_at_every_rate_level(self, tiny, level):
+        report = run_campaign(
+            tiny,
+            FaultPlan(seed=7, **RATE_LEVELS[level]),
+            ChaosConfig(**SWEEP_CONFIG),
+        )
+        assert report.quarantine_free_fraction >= 0.90
+
+    def test_worker_kill_stream_leaves_device_rows_unchanged(self, tiny):
+        """WORKER_KILL is drawn by the serve tier from its own stream,
+        so turning it on moves no device-level fault draw.  The full
+        digest echoes the plan, kill rate included, so it differs."""
+        config = ChaosConfig(**SWEEP_CONFIG)
+        plain = run_campaign(
+            tiny, FaultPlan(seed=7, **RATE_LEVELS["low"]), config
+        )
+        killed = run_campaign(
+            tiny,
+            FaultPlan(seed=7, worker_kill_rate=0.05, **RATE_LEVELS["low"]),
+            config,
+        )
+        assert sum(plain.total_injected.values()) > 0
+        assert killed.rows_digest() == plain.rows_digest()
+        assert killed.digest() != plain.digest()
 
     def test_same_seed_runs_byte_identical(self, campaign):
         first, second = campaign

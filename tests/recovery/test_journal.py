@@ -15,11 +15,7 @@ from repro.recovery import (
     replay_into_cache,
 )
 from repro.serve.protocol import plan_digest
-from repro.serve.shared_cache import (
-    LocalSharedCache,
-    request_key,
-    wire_key,
-)
+from repro.serve.shared_cache import SharedCache, request_key, wire_key
 
 KEY = (("model", "fp"), ("board", "fp"), ("space", "fp"), ("percent", 30.0))
 
@@ -124,14 +120,14 @@ class TestReadJournal:
 class TestReplay:
     def test_rebuilds_publishes_and_request_index(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        source = JournaledSharedCache(LocalSharedCache(), PlanJournal(path))
+        source = JournaledSharedCache(SharedCache(), PlanJournal(path))
         payload = make_payload()
         source.publish(KEY, payload)
         rk = request_key("tiny", ("percent", 30.0))
         source.register_request(rk, payload["digest"])
         source.journal.close()
 
-        rebuilt = LocalSharedCache()
+        rebuilt = SharedCache()
         stats = replay_into_cache(path, rebuilt)
         assert stats["replayed"] == 1
         assert stats["requests"] == 1
@@ -142,12 +138,12 @@ class TestReplay:
 
     def test_replay_is_idempotent(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        source = JournaledSharedCache(LocalSharedCache(), PlanJournal(path))
+        source = JournaledSharedCache(SharedCache(), PlanJournal(path))
         payload = make_payload()
         source.publish(KEY, payload)
         source.journal.close()
 
-        rebuilt = LocalSharedCache()
+        rebuilt = SharedCache()
         replay_into_cache(path, rebuilt)
         replay_into_cache(path, rebuilt)  # duplicate pass
         assert rebuilt.lookup(KEY) == payload
@@ -162,7 +158,7 @@ class TestReplay:
         )
         with open(path, "w") as handle:
             handle.write(record + "\n")
-        rebuilt = LocalSharedCache()
+        rebuilt = SharedCache()
         stats = replay_into_cache(path, rebuilt)
         assert stats["skipped"] == 1
         assert stats["replayed"] == 0
@@ -173,7 +169,7 @@ class TestReplay:
         journal = PlanJournal(path)
         journal.append("future-kind", {"anything": True})
         journal.close()
-        stats = replay_into_cache(path, LocalSharedCache())
+        stats = replay_into_cache(path, SharedCache())
         assert stats["skipped"] == 1
 
 
@@ -182,7 +178,7 @@ class TestJournaledSharedCache:
         """The record hits the journal even if the tier rejects it."""
         path = str(tmp_path / "j.jsonl")
         tier = JournaledSharedCache(
-            LocalSharedCache(capacity=1), PlanJournal(path)
+            SharedCache(capacity=1), PlanJournal(path)
         )
         tier.publish(KEY, make_payload(1.0))
         other = (("model", "fp"), ("percent", 50.0))
@@ -194,7 +190,7 @@ class TestJournaledSharedCache:
 
     def test_lookups_pass_through_unjournaled(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        tier = JournaledSharedCache(LocalSharedCache(), PlanJournal(path))
+        tier = JournaledSharedCache(SharedCache(), PlanJournal(path))
         payload = make_payload()
         tier.publish(KEY, payload)
         assert tier.lookup(KEY) == payload
@@ -204,7 +200,7 @@ class TestJournaledSharedCache:
 
     def test_stats_name_the_journal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        tier = JournaledSharedCache(LocalSharedCache(), PlanJournal(path))
+        tier = JournaledSharedCache(SharedCache(), PlanJournal(path))
         assert tier.stats()["journal"] == path
 
 

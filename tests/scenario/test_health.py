@@ -1,6 +1,7 @@
 """The report's ``health`` section: digest-stable fleet monitoring."""
 
 import json
+import math
 
 from repro.obs.registry import snapshot_digest
 from repro.scenario import run_scenario
@@ -85,6 +86,14 @@ class TestHealthShape:
         # must NOT appear in the report.
         assert "latest_digest" not in health["series"]
 
+    def test_one_sample_and_one_evaluation_per_tick(self):
+        """The monitor's cost as a count: each tick takes one series
+        sample and one SLO evaluation, nothing more."""
+        report = run_scenario(small())
+        ticks = math.ceil(report.horizon_s / report.tick_s)
+        assert report.health["series"]["total_samples"] == ticks
+        assert report.health["evaluations"] == ticks
+
     def test_rollup_carries_scenario_gauges(self):
         rollup = run_scenario(small()).health["rollup"]
         assert "scenario.governor_drift" in rollup["gauges"]
@@ -109,3 +118,11 @@ class TestMonitorOff:
         config.monitor = False
         report = run_scenario(config)
         assert report.health is None
+
+    def test_monitor_moves_no_bit_of_the_fleet(self):
+        monitored = run_scenario(small())
+        config = small()
+        config.monitor = False
+        unmonitored = run_scenario(config)
+        assert monitored.health is not None
+        assert monitored.fleet.digest() == unmonitored.fleet.digest()

@@ -14,7 +14,7 @@ from repro.errors import ReproError
 from repro.nn import build_tiny_test_model
 from repro.serve.router import shard_key
 from repro.serve.service import PlanService, board_from_params
-from repro.serve.shared_cache import LocalSharedCache, request_key
+from repro.serve.shared_cache import SharedCache, request_key
 
 QK = ("percent", 30.0)
 
@@ -106,7 +106,7 @@ class TestLruIsolation:
 
 class TestSharedTierIsolation:
     def test_boards_never_share_shared_tier_entries(self, tiny):
-        tier = LocalSharedCache(capacity=16)
+        tier = SharedCache(capacity=16)
         service = PlanService(shared_cache=tier)
         default = service.plan("tiny", QK)
         n6 = service.plan("tiny", QK, board_name="nucleo-n657x0")
@@ -123,7 +123,7 @@ class TestSharedTierIsolation:
         )
 
     def test_degraded_request_index_split_by_board(self, tiny):
-        tier = LocalSharedCache(capacity=16)
+        tier = SharedCache(capacity=16)
         service = PlanService(shared_cache=tier)
         default = service.plan("tiny", QK)
         n6 = service.plan("tiny", QK, board_name="nucleo-n657x0")

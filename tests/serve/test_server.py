@@ -81,6 +81,44 @@ class TestPlanEndpoint:
         assert metrics["batches"] >= 1
         assert metrics["coalesce_ratio"] > 1.0
 
+    def test_same_key_burst_solves_once(self):
+        """The serve speedup as a count: a burst of identical requests
+        costs one exploration and one solve.  ``no_cache`` keeps the
+        LRU out of it, so only coalescing can share the work."""
+        calls = {"optimize": 0, "explore": 0}
+
+        async def main():
+            server = make_server(batch_window_s=0.02)
+            pipeline = server.service.pipeline
+            optimize = pipeline.optimize
+            explore = pipeline.explorer.explore_model
+
+            def counted_optimize(*args, **kwargs):
+                calls["optimize"] += 1
+                return optimize(*args, **kwargs)
+
+            def counted_explore(*args, **kwargs):
+                calls["explore"] += 1
+                return explore(*args, **kwargs)
+
+            pipeline.optimize = counted_optimize
+            pipeline.explorer.explore_model = counted_explore
+            client = InProcessClient(server)
+            results = await asyncio.gather(
+                *(
+                    client.request(
+                        "plan", model="tiny", qos_percent=40, no_cache=True
+                    )
+                    for _ in range(8)
+                )
+            )
+            await server.stop()
+            return results
+
+        results = run(main())
+        assert len({r["digest"] for r in results}) == 1
+        assert calls == {"optimize": 1, "explore": 1}
+
     def test_stateless_digest_matches_warm(self):
         async def main():
             warm = make_server()

@@ -10,8 +10,7 @@ from repro.obs.registry import get_registry
 from repro.serve.protocol import plan_digest
 from repro.serve.service import PlanService
 from repro.serve.shared_cache import (
-    LocalSharedCache,
-    ManagedSharedCache,
+    SharedCache,
     managed_shared_cache,
     request_key,
     wire_key,
@@ -42,7 +41,7 @@ class TestWireKey:
 
 class TestLocalSharedCache:
     def test_miss_then_publish_then_hit(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         assert tier.lookup(KEY) is None
         payload = make_payload()
         digest = tier.publish(KEY, payload)
@@ -53,7 +52,7 @@ class TestLocalSharedCache:
 
     def test_round_trip_is_byte_identical(self):
         """The exchanged bytes digest to the same address."""
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         digest = tier.publish(KEY, payload)
         served = tier.lookup(KEY)
@@ -63,21 +62,21 @@ class TestLocalSharedCache:
         )
 
     def test_first_publisher_wins(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         first = make_payload(1.0)
         tier.publish(KEY, first)
         tier.publish(KEY, make_payload(2.0))
         assert tier.lookup(KEY) == first
 
     def test_publish_rejects_mismatched_digest(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         payload["digest"] = "0" * 64
         with pytest.raises(ReproError):
             tier.publish(KEY, payload)
 
     def test_corrupt_payload_is_a_miss(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         digest = tier.publish(KEY, payload)
         # Tear the stored bytes behind the tier's back.
@@ -90,7 +89,7 @@ class TestLocalSharedCache:
         assert wire_key(KEY) not in tier._index  # entry dropped
 
     def test_capacity_rejects_not_evicts(self):
-        tier = LocalSharedCache(capacity=1)
+        tier = SharedCache(capacity=1)
         tier.publish(KEY, make_payload(1.0))
         tier.publish(OTHER, make_payload(2.0))
         assert tier.lookup(KEY) is not None  # survivor
@@ -99,10 +98,10 @@ class TestLocalSharedCache:
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            LocalSharedCache(capacity=0)
+            SharedCache(capacity=0)
 
     def test_stats_counters(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         tier.lookup(KEY)
         tier.publish(KEY, make_payload())
         tier.lookup(KEY)
@@ -129,7 +128,7 @@ class TestRequestIndex:
         )
 
     def test_register_then_lookup_serves_the_payload(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         digest = tier.publish(KEY, payload)
         rk = request_key("tiny", ("percent", 30.0))
@@ -142,7 +141,7 @@ class TestRequestIndex:
         assert stats["request_misses"] == 1
 
     def test_first_registration_wins(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         first = make_payload(1.0)
         tier.publish(KEY, first)
         other = make_payload(2.0)
@@ -155,7 +154,7 @@ class TestRequestIndex:
     def test_corrupt_registered_payload_is_a_miss(self):
         """The degraded path never serves bytes that fail digest
         verification, even via the request index."""
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         digest = tier.publish(KEY, payload)
         rk = request_key("tiny", ("percent", 30.0))
@@ -175,7 +174,7 @@ class TestCorruptionMetrics:
         before = registry.counter_value(
             "serve.shared_cache", event="corrupt"
         )
-        tier = LocalSharedCache()
+        tier = SharedCache()
         payload = make_payload()
         digest = tier.publish(KEY, payload)
         # Flip one byte of the stored canonical JSON.
@@ -195,7 +194,7 @@ class TestCorruptionMetrics:
         before = registry.counter_value(
             "serve.shared_cache", event="rejected"
         )
-        tier = LocalSharedCache(capacity=1)
+        tier = SharedCache(capacity=1)
         tier.publish(KEY, make_payload(1.0))
         tier.publish(OTHER, make_payload(2.0))
         after = registry.counter_value(
@@ -208,7 +207,7 @@ class TestManagedSharedCache:
     def test_managed_tier_behaves_like_local(self):
         with multiprocessing.get_context("spawn").Manager() as manager:
             tier = managed_shared_cache(manager, capacity=8)
-            assert isinstance(tier, ManagedSharedCache)
+            assert isinstance(tier, SharedCache)
             assert tier.lookup(KEY) is None
             payload = make_payload()
             digest = tier.publish(KEY, payload)
@@ -222,7 +221,7 @@ class TestManagedSharedCache:
 class TestServiceIntegration:
     def test_two_services_exchange_plans_byte_identically(self):
         """Worker B's first request serves worker A's published bytes."""
-        tier = LocalSharedCache()
+        tier = SharedCache()
         service_a = PlanService(shared_cache=tier)
         service_b = PlanService(shared_cache=tier)
         qos = ("percent", 30.0)
@@ -240,7 +239,7 @@ class TestServiceIntegration:
         assert tier.stats()["hits"] == 1
 
     def test_shared_hit_digest_matches_cold_solve(self):
-        tier = LocalSharedCache()
+        tier = SharedCache()
         service_a = PlanService(shared_cache=tier)
         service_b = PlanService(shared_cache=tier)
         qos = ("percent", 50.0)
