@@ -864,7 +864,10 @@ def cmd_plan(args: argparse.Namespace) -> Result:
     -- admission, batcher, plan cache, planner pool -- so a ``--trace``
     run captures the whole span tree ``serve.request -> serve.batch ->
     serve.plan -> pipeline.optimize -> dse.explore -> mckp.solve``
-    under one correlation ID (the request ID).
+    under one correlation ID (the request ID).  The server is fresh,
+    so the request is always a miss; a warm hit on a long-lived
+    server is answered on the event loop as just ``serve.request ->
+    serve.plan``.
     """
     import asyncio
 

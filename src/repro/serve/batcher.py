@@ -9,7 +9,9 @@ executor and fans out to every waiter.  A batch *closes* the moment it
 dispatches -- when the window elapses or ``max_batch`` waiters have
 joined -- so requests arriving later open a fresh batch instead of
 silently riding a bounded one past its bound.  (The answer they
-compute is identical; usually it is a plan-cache hit by then.)
+compute is identical.)  Warm plan-cache hits do not come here: the
+server answers them on the event loop.  A batched plan ends as a hit
+only when another batch filled its entry after the server looked.
 
 Per-request deadlines ride on top: each waiter guards the *shared*
 future with its own ``asyncio.wait_for`` around an ``asyncio.shield``,

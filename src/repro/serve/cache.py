@@ -49,11 +49,19 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: Tuple) -> Optional[Dict[str, Any]]:
-        """The cached payload, refreshed to most-recently-used."""
+    def get(
+        self, key: Tuple, count_miss: bool = True
+    ) -> Optional[Dict[str, Any]]:
+        """The cached payload, refreshed to most-recently-used.
+
+        ``count_miss=False`` makes a miss invisible to every counter,
+        for a probe that a counted lookup follows on a miss.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
+                if not count_miss:
+                    return None
                 self.misses += 1
             else:
                 self._entries.move_to_end(key)

@@ -9,6 +9,12 @@ generator) until drained.  The request path is::
          -> batcher (coalesce + deadline) -> PlanService (executor)
          -> encode -> line
 
+A ``plan`` that the local LRU already holds leaves that path right
+after admission: :meth:`PlanService.warm_plan` answers it on the event
+loop, since there is no work to coalesce and no reason to wait out the
+batch window.  Misses, ``no_cache`` requests, shared-tier lookups,
+stateless servers and reprices take the batcher.
+
 ``stats``, ``metrics`` and ``health`` bypass admission -- an
 overloaded server must still answer its monitoring.  Shutdown is graceful: the listener
 closes first, in-flight requests drain (bounded by
@@ -336,17 +342,32 @@ class PlanServer(JsonLinesListener):
         self.metrics.record_queue_depth(depth)
         try:
             key, fn = self._planning_call(request)
+            if key[0] == "plan" and key[-1]:
+                # A warm local-LRU hit has no work to coalesce: answer
+                # it here, without the batch window or a thread hop.
+                _, model_name, qos_key, board, _ = key
+                hit = self.service.warm_plan(model_name, qos_key, board)
+                if hit is not None:
+                    return hit
             return await self.batcher.submit(key, fn, deadline_s)
         finally:
             self.metrics.record_queue_depth(self.admission.release())
 
     def _planning_call(self, request: Request):
-        """(coalescing key, blocking thunk) for a plan/reprice request."""
+        """(coalescing key, blocking thunk) for a plan/reprice request.
+
+        A cacheable plan's key is ``("plan", model, qos, board, True)``.
+        """
         params = request.params
         model_name = params.get("model")
         qos_key = qos_key_from_params(params)
         board = board_from_params(params)
         if request.op == "plan":
+            no_cache = params.get("no_cache", False)
+            if not isinstance(no_cache, bool):
+                raise ProtocolError(
+                    f"no_cache must be a JSON boolean, got {no_cache!r}"
+                )
             if self.config.stateless:
                 return (
                     ("plan-cold", model_name, qos_key, board, id(request)),
@@ -354,7 +375,7 @@ class PlanServer(JsonLinesListener):
                         model_name, qos_key, board_name=board
                     ),
                 )
-            use_cache = not bool(params.get("no_cache", False))
+            use_cache = not no_cache
             return (
                 ("plan", model_name, qos_key, board, use_cache),
                 lambda: self.service.plan(

@@ -21,6 +21,7 @@ computed one (the load generator's digest-consistency check).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -87,7 +88,9 @@ def qos_key_from_params(params: Dict[str, Any]) -> Tuple:
 
     Raises:
         ProtocolError: unless exactly one of ``qos_percent`` /
-            ``qos_ms`` is present and numeric.
+            ``qos_ms`` is present, numeric, finite and non-negative.
+            A NaN would key a cache entry no request can ever hit and
+            put a non-standard ``NaN`` budget on the wire.
     """
     percent = params.get("qos_percent")
     ms = params.get("qos_ms")
@@ -95,12 +98,16 @@ def qos_key_from_params(params: Dict[str, Any]) -> Tuple:
         raise ProtocolError(
             "provide exactly one of qos_percent or qos_ms"
         )
+    kind, raw = ("percent", percent) if percent is not None else ("ms", ms)
     try:
-        if percent is not None:
-            return ("percent", float(percent))
-        return ("ms", float(ms))
+        value = float(raw)
     except (TypeError, ValueError) as err:
         raise ProtocolError(f"QoS must be numeric: {err}") from err
+    if not math.isfinite(value) or value < 0:
+        raise ProtocolError(
+            f"qos_{kind} must be finite and >= 0, got {raw!r}"
+        )
+    return (kind, value)
 
 
 class PlanService:
@@ -349,6 +356,48 @@ class PlanService:
         self._store_fronts(model, qos_key, result, board_name)
         return model, result
 
+    def _hit(
+        self, sp, model_name: str, qos_key: Tuple, cached: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Answer from a local-LRU entry (the one plan-cache hit path)."""
+        sp.set(cached=True)
+        get_audit_log().record(
+            "serve.cache", "hit", model=model_name, qos=list(qos_key)
+        )
+        return {**cached, "cached": True}
+
+    def warm_plan(
+        self,
+        model_name: Any,
+        qos_key: Tuple,
+        board_name: Optional[str] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """A local-LRU hit answered without planning, or ``None``.
+
+        Never blocks, so the server calls it on its event loop before
+        batching: it builds no model or board (a name not yet resolved
+        has no cached plan), takes no lock a planner thread holds for
+        long, and skips the shared tier.  A hit counts, audits and
+        opens its ``serve.plan`` span as a hit inside :meth:`plan`
+        does.  A miss counts nothing and opens no span; the
+        :meth:`plan` call that follows does the counted lookup.
+        """
+        if not self.cache_enabled or not isinstance(model_name, str):
+            return None
+        # Bare dict reads: resolve_model holds _models_lock while it
+        # builds a model, and the event loop must not wait on that.
+        model = self._models.get(model_name)
+        if model is None or (
+            board_name is not None and board_name not in self._board_states
+        ):
+            return None
+        key = self.cache_key(model, qos_key, board_name)
+        cached = self.cache.get(key, count_miss=False)
+        if cached is None:
+            return None
+        with span("serve.plan", model=model_name) as sp:
+            return self._hit(sp, model_name, qos_key, cached)
+
     def plan(
         self,
         model_name: str,
@@ -363,14 +412,7 @@ class PlanService:
             if self.cache_enabled and use_cache:
                 cached = self.cache.get(key)
                 if cached is not None:
-                    sp.set(cached=True)
-                    get_audit_log().record(
-                        "serve.cache",
-                        "hit",
-                        model=model_name,
-                        qos=list(qos_key),
-                    )
-                    return {**cached, "cached": True}
+                    return self._hit(sp, model_name, qos_key, cached)
                 if self.shared_cache is not None:
                     shared = self.shared_cache.lookup(key)
                     if shared is not None:

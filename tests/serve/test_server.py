@@ -1,16 +1,20 @@
 """PlanServer endpoints, overload behavior, TCP transport, drain."""
 
 import asyncio
+import json
 
 import pytest
 
 from repro.errors import OverloadedError, QoSInfeasibleError
+from repro.obs.registry import MetricsRegistry, set_registry
+from repro.obs.tracing import Tracer, install, uninstall
 from repro.serve import (
     InProcessClient,
     PlanServer,
     ServeClient,
     ServeConfig,
 )
+from repro.serve.shared_cache import SharedCache
 
 def run(coro):
     return asyncio.run(coro)
@@ -20,6 +24,19 @@ def make_server(**overrides):
     defaults = dict(workers=2, batch_window_s=0.001)
     defaults.update(overrides)
     return PlanServer(ServeConfig(**defaults))
+
+
+def record_submits(server):
+    """Log the coalescing key of every request handed to the batcher."""
+    keys = []
+    submit = server.batcher.submit
+
+    async def logged(key, fn, deadline_s=None):
+        keys.append(key)
+        return await submit(key, fn, deadline_s)
+
+    server.batcher.submit = logged
+    return keys
 
 
 class TestPlanEndpoint:
@@ -200,6 +217,301 @@ class TestErrorsAndValidation:
             return response
 
         assert run(main())["error"]["kind"] == "bad_request"
+
+
+    @pytest.mark.parametrize(
+        "qos",
+        [
+            '"qos_percent":NaN',
+            '"qos_percent":"nan"',
+            '"qos_percent":Infinity',
+            '"qos_percent":"inf"',
+            '"qos_percent":1e999',
+            '"qos_percent":-10',
+            '"qos_ms":NaN',
+            '"qos_ms":"-inf"',
+            '"qos_ms":-5',
+        ],
+    )
+    def test_non_finite_or_negative_qos_is_bad_request(self, qos):
+        async def main():
+            server = make_server()
+            line = await server.handle_line(
+                '{"v":1,"id":"r1","op":"plan",'
+                '"params":{"model":"tiny",' + qos + '}}'
+            )
+            await server.stop()
+            return line
+
+        line = run(main())
+        response = json.loads(line)  # strict: no NaN on the wire
+        assert response["error"]["kind"] == "bad_request", response
+        assert "finite and >= 0" in response["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_no_cache_must_be_boolean(self, flag):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            response = await server.handle_request_dict(
+                {
+                    "v": 1,
+                    "id": "r1",
+                    "op": "plan",
+                    "params": {
+                        "model": "tiny", "qos_percent": 30, "no_cache": flag,
+                    },
+                }
+            )
+            await server.stop()
+            return response
+
+        response = run(main())
+        assert response["error"]["kind"] == "bad_request", response
+        assert "no_cache" in response["error"]["message"]
+
+
+class TestWarmHitPath:
+    """A local-LRU hit is answered on the event loop, not batched."""
+
+    def test_warm_hit_never_enters_the_batcher(self):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            miss = await client.request("plan", model="tiny", qos_percent=30)
+            batches = server.metrics.batches
+            keys = record_submits(server)
+            hit = await client.request("plan", model="tiny", qos_percent=30)
+            after = server.metrics.batches
+            in_batch_hit = server.service.plan("tiny", ("percent", 30.0))
+            await server.stop()
+            return miss, hit, in_batch_hit, keys, batches, after
+
+        miss, hit, in_batch_hit, keys, batches, after = run(main())
+        assert keys == []
+        assert after == batches == 1
+        assert not miss["cached"] and hit["cached"]
+        assert sorted(hit) == sorted(miss)
+        for name in miss:
+            if name != "cached":
+                assert hit[name] == miss[name], name
+        assert hit == in_batch_hit
+
+    def test_other_requests_still_batch(self):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            keys = record_submits(server)
+            await client.request("plan", model="tiny", qos_percent=45)
+            await client.request(
+                "plan", model="tiny", qos_percent=30, no_cache=True
+            )
+            await client.request(
+                "reprice", model="tiny", qos_percent=30, extra_power_w=0.01
+            )
+            await server.stop()
+            return keys
+
+        keys = run(main())
+        assert [(k[0], k[2], k[-1]) for k in keys] == [
+            ("plan", ("percent", 45.0), True),
+            ("plan", ("percent", 30.0), False),
+            ("reprice", ("percent", 30.0), None),
+        ]
+
+    def test_stateless_server_batches_every_request(self):
+        async def main():
+            server = make_server(stateless=True)
+            client = InProcessClient(server)
+            keys = record_submits(server)
+            for _ in range(2):
+                await client.request("plan", model="tiny", qos_percent=30)
+            await server.stop()
+            return keys
+
+        assert [k[0] for k in run(main())] == ["plan-cold", "plan-cold"]
+
+    def test_shared_tier_hit_goes_through_the_batcher(self):
+        async def main():
+            tier = SharedCache(capacity=16)
+            first = PlanServer(
+                ServeConfig(workers=2, batch_window_s=0.001), shared_cache=tier
+            )
+            second = PlanServer(
+                ServeConfig(workers=2, batch_window_s=0.001), shared_cache=tier
+            )
+            planned = await InProcessClient(first).request(
+                "plan", model="tiny", qos_percent=30
+            )
+            keys = record_submits(second)
+            shared = await InProcessClient(second).request(
+                "plan", model="tiny", qos_percent=30
+            )
+            await first.stop()
+            await second.stop()
+            return planned, shared, keys
+
+        planned, shared, keys = run(main())
+        assert [k[0] for k in keys] == ["plan"]
+        assert shared["cached"]
+        assert shared["digest"] == planned["digest"]
+
+    def test_hit_sheds_on_full_queue(self):
+        async def main():
+            server = make_server(max_queue_depth=1)
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            keys = record_submits(server)
+            server.admission.admit()  # fill the only slot
+            try:
+                with pytest.raises(OverloadedError) as info:
+                    await client.request("plan", model="tiny", qos_percent=30)
+            finally:
+                server.admission.release()
+            await server.stop()
+            return info.value, keys
+
+        err, keys = run(main())
+        assert err.reason == "queue_full"
+        assert keys == []
+
+    def test_hit_sheds_on_exhausted_token_bucket(self):
+        async def main():
+            server = make_server(
+                rate_per_s=1.0, burst=1.0, admission_tick_s=0.001
+            )
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            keys = record_submits(server)
+            with pytest.raises(OverloadedError) as info:
+                await client.request("plan", model="tiny", qos_percent=30)
+            stats = await client.request("stats")
+            await server.stop()
+            return info.value, keys, stats
+
+        err, keys, stats = run(main())
+        assert err.reason == "rate_limited"
+        assert keys == []
+        assert stats["metrics"]["sheds_by_reason"] == {"rate_limited": 1}
+        assert stats["cache"]["hits"] == 0
+
+    def test_traced_hit_span_tree(self):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            tracer = install(Tracer(deterministic=True))
+            try:
+                response = await server.handle_request_dict(
+                    {
+                        "v": 1,
+                        "id": "hit-1",
+                        "op": "plan",
+                        "params": {"model": "tiny", "qos_percent": 30},
+                    }
+                )
+            finally:
+                uninstall()
+            await server.stop()
+            return response, tracer.spans()
+
+        response, spans = run(main())
+        assert response["result"]["cached"]
+        assert [s.name for s in spans] == ["serve.request", "serve.plan"]
+        request, plan = spans
+        assert plan.parent_seq == request.seq
+        assert plan.attrs == {"model": "tiny", "cached": True}
+        assert {s.correlation for s in spans} == {"hit-1"}
+
+    def test_cache_counts_match_the_batched_path(self):
+        """Counts taken from the tree that batched every hit: a miss
+        probed on the loop is not counted a second time."""
+
+        async def main():
+            server = make_server(batch_window_s=0.02)
+            client = InProcessClient(server)
+            burst = await asyncio.gather(
+                *(
+                    client.request("plan", model="tiny", qos_percent=30)
+                    for _ in range(8)
+                )
+            )
+            hits = [
+                await client.request("plan", model="tiny", qos_percent=30)
+                for _ in range(5)
+            ]
+            fresh = await client.request(
+                "plan", model="tiny", qos_percent=30, no_cache=True
+            )
+            other = await client.request("plan", model="vww", qos_percent=30)
+            stats = await client.request("stats")
+            await server.stop()
+            return burst, hits, fresh, other, stats
+
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            burst, hits, fresh, other, stats = run(main())
+        finally:
+            set_registry(previous)
+        assert [r["cached"] for r in burst] == [False] * 8
+        assert [r["cached"] for r in hits] == [True] * 5
+        assert not fresh["cached"] and not other["cached"]
+        cache = stats["cache"]
+        assert (cache["hits"], cache["misses"], cache["size"]) == (5, 2, 2)
+        assert registry.counter_value("serve.plan_cache", event="hit") == 5
+        assert registry.counter_value("serve.plan_cache", event="miss") == 2
+
+    def test_hits_and_misses_race_without_lost_counts(self):
+        """Loop-side probes and pool-side lookups share the LRU: under a
+        tiny switch interval and more planner threads than cores, the
+        cache and registry counts still agree and every key serves one
+        digest."""
+        import sys
+
+        async def main():
+            server = make_server(workers=6)
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            qos = [30, 35, 40, 30, 45, 30, 50, 30] * 6
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        client.request("plan", model="tiny", qos_percent=q)
+                        for q in qos
+                    )
+                ),
+                timeout=120,
+            )
+            stats = await client.request("stats")
+            await server.stop()
+            return qos, results, stats
+
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            qos, results, stats = run(main())
+        finally:
+            sys.setswitchinterval(interval)
+            set_registry(previous)
+        digests = {}
+        for q, result in zip(qos, results):
+            digests.setdefault(q, set()).add(result["digest"])
+        assert all(len(d) == 1 for d in digests.values())
+        cache = stats["cache"]
+        assert cache["size"] == len(digests)
+        assert cache["misses"] == len(digests)
+        assert cache["hits"] == registry.counter_value(
+            "serve.plan_cache", event="hit"
+        )
+        assert cache["misses"] == registry.counter_value(
+            "serve.plan_cache", event="miss"
+        )
+        assert cache["hits"] >= sum(1 for q in qos if q == 30)
 
 
 class TestOtherEndpoints:
