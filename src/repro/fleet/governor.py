@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ..analysis.battery import BatteryState
 from ..engine.schedule import DeploymentPlan
 from ..errors import PowerModelError, ReproError, SensorReadError
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
-from ..optimize.mckp import MCKPItem, reprice_classes
+from ..optimize.mckp import MCKPItem, front_classes, reprice_classes
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..power.sensor import INA219Config
 from .pricing import EpochPricer
@@ -200,6 +199,95 @@ class GovernorResult:
         return sum(1 for s in self.samples if s.met_qos)
 
 
+class DeviceState:
+    """The physics of one deployed device: plan, cell and die.
+
+    The one model both the governor and the scenario engine's
+    clairvoyant oracle twin integrate, so the oracle gap compares two
+    runs of the same physics.  Holds the plan in force, the battery
+    state, the thermal network and the junction temperature.
+    """
+
+    def __init__(self, plan: DeploymentPlan, profile: DeviceProfile):
+        self.plan = plan
+        self.battery = profile.battery
+        self.thermal = profile.thermal
+        self.temperature_c = self.thermal.t_ambient_c
+
+    @property
+    def extra_w(self) -> float:
+        """Leakage power above the calibration reference at the
+        current junction temperature (the thermal excess)."""
+        thermal = self.thermal
+        return (
+            thermal.leakage_at(self.temperature_c) - thermal.leakage_ref_w
+        )
+
+    @property
+    def cap_hz(self) -> float:
+        """Highest SYSCLK the cell's rail can currently hold."""
+        return self.battery.max_sysclk_hz()
+
+    def set_ambient(self, t_ambient_c: float) -> None:
+        """Move the device into a new ambient temperature.
+
+        Only the thermal network's relaxation target moves; the leakage
+        calibration reference stays at deployment conditions, so a
+        hotter ambient raises the junction trajectory and with it the
+        thermal excess the governor must compensate.
+        """
+        self.thermal = replace(self.thermal, t_ambient_c=t_ambient_c)
+
+    def idle(self, duration_s: float, sleep_power_w: float = 0.25e-3) -> None:
+        """Advance physics across a window-free stretch of time.
+
+        The device sleeps: the cell drains at the sleep floor and the
+        die relaxes toward its (sleep-power) steady state on the exact
+        exponential solution of the RC model -- idle stretches span
+        many thermal time constants, where the per-window explicit
+        Euler step would be unstable.  No RNG is consumed, so idling
+        never shifts the telemetry noise stream.
+        """
+        if duration_s < 0:
+            raise PowerModelError("duration_s must be >= 0")
+        thermal = self.thermal
+        self.battery = self.battery.discharged(sleep_power_w * duration_s)
+        t_ss = thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
+        decay = math.exp(-duration_s / thermal.time_constant_s)
+        self.temperature_c = t_ss + (self.temperature_c - t_ss) * decay
+
+    def advance(
+        self, true_energy_j: float, window_s: float, epoch_s: float
+    ) -> None:
+        """Epoch bookkeeping after a window ran.
+
+        The window's average true power is sustained for the epoch: the
+        cell drains by it and the die integrates toward the operating
+        temperature it sets.
+        """
+        avg_power = true_energy_j / window_s if window_s > 0 else 0.0
+        self.battery = self.battery.discharged(avg_power * epoch_s)
+        self.temperature_c = self.thermal.temperature_step(
+            self.temperature_c, avg_power, epoch_s
+        )
+
+    def snapshot(self) -> Dict:
+        """Checkpoint fields (``temperature`` is the v2 schema key)."""
+        return {
+            "plan": self.plan,
+            "battery": self.battery,
+            "thermal": self.thermal,
+            "temperature": self.temperature_c,
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Overwrite the physics from a :meth:`snapshot` dict."""
+        self.plan = state["plan"]
+        self.battery = state["battery"]
+        self.thermal = state["thermal"]
+        self.temperature_c = state["temperature"]
+
+
 class FleetGovernor:
     """Supervises one device's deployed plan across telemetry epochs.
 
@@ -229,18 +317,9 @@ class FleetGovernor:
         self.config = config or GovernorConfig()
         self.fault_clock = fault_clock
         self._pricer = EpochPricer(pipeline, model)
-        node_ids = sorted(optimized.pareto_fronts)
         #: Device-priced MCKP classes rebuilt from the cached fronts;
         #: every re-plan re-prices THESE -- exploration never re-runs.
-        self.base_classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in optimized.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        self.base_classes = front_classes(optimized.pareto_fronts)
 
     # -- supervision state -------------------------------------------------------
 
@@ -257,10 +336,7 @@ class FleetGovernor:
         self._sensor = profile.make_sensor(
             self.config.sensor_config, fault_clock=self.fault_clock
         )
-        self._plan = self.optimized.plan
-        self._battery = profile.battery
-        self._thermal = profile.thermal
-        self._temperature = self._thermal.t_ambient_c
+        self._device = DeviceState(self.optimized.plan, profile)
         #: Extra leakage power the current plan's pricing already
         #: accounts for (set at re-plan time); drift is measured
         #: against prediction *including* this compensation.
@@ -278,25 +354,14 @@ class FleetGovernor:
         self._pending: Optional[ReplanIntent] = None
         self._started = True
 
-    # Read-only views the scenario engine consumes between steps.
+    # Views the scenario engine reads and drives between steps.
 
     @property
-    def battery_state(self) -> BatteryState:
-        """The cell's current discharge state."""
+    def device(self) -> DeviceState:
+        """The device's physics (plan, cell, die); assign its
+        ``battery`` for cell swap / recharge events."""
         self._require_started()
-        return self._battery
-
-    @property
-    def temperature_c(self) -> float:
-        """Current junction temperature."""
-        self._require_started()
-        return self._temperature
-
-    @property
-    def plan(self) -> DeploymentPlan:
-        """The plan currently in force."""
-        self._require_started()
-        return self._plan
+        return self._device
 
     @property
     def epochs_run(self) -> int:
@@ -319,43 +384,6 @@ class FleetGovernor:
     def _require_started(self) -> None:
         if not getattr(self, "_started", False):
             self.start()
-
-    # -- external-environment hooks (scenario engine) ----------------------------
-
-    def set_ambient(self, t_ambient_c: float) -> None:
-        """Move the device into a new ambient temperature.
-
-        Only the thermal network's relaxation target moves; the leakage
-        calibration reference stays at deployment conditions, so a
-        hotter ambient raises the junction trajectory and with it the
-        thermal excess the governor must compensate.
-        """
-        self._require_started()
-        self._thermal = replace(self._thermal, t_ambient_c=t_ambient_c)
-
-    def set_battery(self, battery: BatteryState) -> None:
-        """Replace the cell state (swap / recharge events)."""
-        self._require_started()
-        self._battery = battery
-
-    def idle(self, duration_s: float, sleep_power_w: float = 0.25e-3) -> None:
-        """Advance physics across a window-free stretch of time.
-
-        The device sleeps: the cell drains at the sleep floor and the
-        die relaxes toward its (sleep-power) steady state on the exact
-        exponential solution of the RC model -- idle stretches span
-        many thermal time constants, where the per-window explicit
-        Euler step would be unstable.  No RNG is consumed, so idling
-        never shifts the telemetry noise stream.
-        """
-        self._require_started()
-        if duration_s < 0:
-            raise PowerModelError("duration_s must be >= 0")
-        thermal = self._thermal
-        self._battery = self._battery.discharged(sleep_power_w * duration_s)
-        t_ss = thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
-        decay = math.exp(-duration_s / thermal.time_constant_s)
-        self._temperature = t_ss + (self._temperature - t_ss) * decay
 
     # -- the supervision loop ----------------------------------------------------
 
@@ -402,9 +430,7 @@ class FleetGovernor:
         cfg = self.config
         profile = self.profile
         fault = self.fault_clock if fault_clock is _UNSET else fault_clock
-        budget = self.optimized.qos_s
-        fixed = self.optimized.fixed_overhead_s
-        thermal = self._thermal
+        device = self._device
         sensor = self._sensor
         sensor.fault_clock = fault
         epoch = self._epoch
@@ -412,14 +438,16 @@ class FleetGovernor:
             now = epoch * cfg.epoch_s
         self._pending = None
 
-        cap_hz = self._battery.max_sysclk_hz()
+        cap_hz = device.cap_hz
         if fault is not None and fault.brownout_sag():
             # The rail sags below nominal for this epoch: derate
             # the sustainable SYSCLK on top of the battery cap.
             cap_hz *= fault.plan.brownout_derate
-        exec_plan, clamped = self._pricer.clamp(self._plan, cap_hz)
+        exec_plan, clamped = self._pricer.clamp(device.plan, cap_hz)
         try:
-            window = self._pricer.window(exec_plan, budget, fault)
+            window = self._pricer.window(
+                exec_plan, self.optimized.qos_s, fault
+            )
         except ReproError:
             # The window itself died (watchdog never made forward
             # progress, PLL never locked): a missed, invalid epoch.
@@ -443,8 +471,8 @@ class FleetGovernor:
                 drift=0.0,
                 met_qos=False,
                 clamped=clamped,
-                temperature_c=self._temperature,
-                charge_fraction=self._battery.charge_fraction,
+                temperature_c=device.temperature_c,
+                charge_fraction=device.battery.charge_fraction,
                 replanned=False,
                 valid=False,
             )
@@ -454,9 +482,7 @@ class FleetGovernor:
         self._css_events += window.css_events
         self._watchdog_resets += window.watchdog_resets
         self._pll_retries += window.pll_retries
-        extra_w = (
-            thermal.leakage_at(self._temperature) - thermal.leakage_ref_w
-        )
+        extra_w = device.extra_w
         # The window as the silicon actually burns it (raises
         # TraceError if the excess drives an interval negative).
         true_powers = window.true_powers(extra_w)
@@ -495,8 +521,6 @@ class FleetGovernor:
             measured = 0.0
             drift = 0.0
             self._invalid_epochs += 1
-        window_s = window.window_s
-        avg_power = true_energy / window_s if window_s > 0 else 0.0
         met = window.met_qos
 
         # Blind epochs widen the tolerance the next fresh
@@ -511,15 +535,8 @@ class FleetGovernor:
             not met or clamped or drift_trigger
         ) and self._replans < cfg.max_replans
         replanned = False
-        if wants_replan and not defer_replan:
-            new_plan = self._replan(extra_w, cap_hz, budget, fixed)
-            if new_plan is not None:
-                self._plan = new_plan
-                self._compensated_w = extra_w
-                self._replans += 1
-                replanned = True
-        elif wants_replan:
-            self._pending = ReplanIntent(
+        if wants_replan:
+            intent = ReplanIntent(
                 device_id=profile.device_id,
                 epoch=epoch,
                 extra_w=extra_w,
@@ -531,6 +548,10 @@ class FleetGovernor:
                     else ("clamped" if clamped else "drift")
                 ),
             )
+            if defer_replan:
+                self._pending = intent
+            else:
+                replanned = self._land(intent)
         # Audit the epoch's decision with the inputs it was made
         # from -- strictly observational, recorded after every
         # value above is already computed.
@@ -562,14 +583,9 @@ class FleetGovernor:
             0 if telemetry_valid else self._invalid_streak + 1
         )
 
-        # Epoch bookkeeping: the die integrates toward its
-        # operating temperature, the cell drains by the epoch's
-        # true energy.  Physics advance even when telemetry was
-        # unusable -- the window still ran and burned energy.
-        self._battery = self._battery.discharged(avg_power * cfg.epoch_s)
-        self._temperature = thermal.temperature_step(
-            self._temperature, avg_power, cfg.epoch_s
-        )
+        # Physics advance even when telemetry was unusable -- the
+        # window still ran and burned energy.
+        device.advance(true_energy, window.window_s, cfg.epoch_s)
         sample = EpochSample(
             epoch=epoch,
             measured_energy_j=measured,
@@ -577,8 +593,8 @@ class FleetGovernor:
             drift=drift,
             met_qos=met,
             clamped=clamped,
-            temperature_c=self._temperature,
-            charge_fraction=self._battery.charge_fraction,
+            temperature_c=device.temperature_c,
+            charge_fraction=device.battery.charge_fraction,
             replanned=replanned,
             valid=telemetry_valid,
             true_energy_j=true_energy,
@@ -599,20 +615,9 @@ class FleetGovernor:
         if intent is None:
             raise ReproError("no pending replan to apply")
         self._pending = None
-        budget = self.optimized.qos_s
-        fixed = self.optimized.fixed_overhead_s
-        new_plan = self._replan(
-            intent.extra_w, intent.cap_hz, budget, fixed
-        )
-        applied = new_plan is not None
-        if applied:
-            self._plan = new_plan
-            self._compensated_w = intent.extra_w
-            self._replans += 1
-            if self._samples:
-                self._samples[-1] = replace(
-                    self._samples[-1], replanned=True
-                )
+        applied = self._land(intent)
+        if applied and self._samples:
+            self._samples[-1] = replace(self._samples[-1], replanned=True)
         decision = "replan" if applied else "replan_unavailable"
         get_audit_log().record(
             "governor.epoch",
@@ -648,7 +653,7 @@ class FleetGovernor:
         self._require_started()
         return GovernorResult(
             profile=self.profile,
-            final_plan=self._plan,
+            final_plan=self._device.plan,
             samples=self._samples,
             replans=self._replans,
             drift_threshold=self.config.drift_threshold,
@@ -658,22 +663,59 @@ class FleetGovernor:
             pll_retries=self._pll_retries,
         )
 
-    def _replan(
-        self,
-        extra_w: float,
-        cap_hz: float,
-        budget: float,
-        fixed: float,
-    ) -> Optional[DeploymentPlan]:
-        return resolve_replan(
+    def snapshot(self) -> Dict:
+        """The mutable supervision state, for a scenario checkpoint."""
+        self._require_started()
+        return {
+            **self._device.snapshot(),
+            "compensated_w": self._compensated_w,
+            "samples": list(self._samples),
+            "replans": self._replans,
+            "invalid_streak": self._invalid_streak,
+            "invalid_epochs": self._invalid_epochs,
+            "css_events": self._css_events,
+            "watchdog_resets": self._watchdog_resets,
+            "pll_retries": self._pll_retries,
+            "epoch": self._epoch,
+            "pending": self._pending,
+            "sensor_rng_state": self._sensor._rng.bit_generator.state,
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Overwrite the supervision state from a :meth:`snapshot`."""
+        self._require_started()
+        self._device.restore(state)
+        self._compensated_w = state["compensated_w"]
+        self._samples = list(state["samples"])
+        self._replans = state["replans"]
+        self._invalid_streak = state["invalid_streak"]
+        self._invalid_epochs = state["invalid_epochs"]
+        self._css_events = state["css_events"]
+        self._watchdog_resets = state["watchdog_resets"]
+        self._pll_retries = state["pll_retries"]
+        self._epoch = state["epoch"]
+        self._pending = state["pending"]
+        self._sensor._rng.bit_generator.state = state["sensor_rng_state"]
+
+    def _land(self, intent: ReplanIntent) -> bool:
+        """Re-solve for the conditions ``intent`` fired on and swap the
+        plan in; True when a plan landed.  The one re-plan path of both
+        the inline and the deferred trigger."""
+        new_plan = resolve_replan(
             self.pipeline,
             self.model,
             self.base_classes,
-            extra_w=extra_w,
-            cap_hz=cap_hz,
-            budget=budget,
-            fixed=fixed,
+            extra_w=intent.extra_w,
+            cap_hz=intent.cap_hz,
+            budget=self.optimized.qos_s,
+            fixed=self.optimized.fixed_overhead_s,
         )
+        if new_plan is None:
+            return False
+        self._device.plan = new_plan
+        self._compensated_w = intent.extra_w
+        self._replans += 1
+        return True
 
 
 def resolve_replan(

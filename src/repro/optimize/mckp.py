@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +112,24 @@ def to_maximization(
             ]
         )
     return transformed, offset
+
+
+def front_classes(
+    fronts: Mapping[Any, Sequence[Any]],
+) -> List[List[MCKPItem]]:
+    """MCKP classes from per-layer Pareto fronts, one class per layer.
+
+    Classes follow sorted node order; each front point becomes an item
+    weighted by its latency, valued by its energy, carrying the point
+    as payload.
+    """
+    return [
+        [
+            MCKPItem(weight=p.latency_s, value=p.energy_j, payload=p)
+            for p in fronts[node_id]
+        ]
+        for node_id in sorted(fronts)
+    ]
 
 
 def reprice_classes(

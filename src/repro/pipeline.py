@@ -38,7 +38,7 @@ from .nn.graph import Model
 from .obs.registry import get_registry
 from .obs.tracing import span
 from .optimize.greedy import solve_mckp_greedy
-from .optimize.mckp import MCKPItem, solve_mckp_dp
+from .optimize.mckp import MCKPItem, front_classes, solve_mckp_dp
 from .optimize.qos import QoSLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
@@ -445,16 +445,7 @@ class DAEDVFSPipeline:
             )
             raise QoSInfeasibleError(qos_s=budget, min_latency_s=min_conv + fixed)
 
-        node_ids = sorted(fronts)
-        classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        classes = front_classes(fronts)
 
         # The per-layer prices exclude inter-layer PLL re-locks (those
         # depend on the *sequence* of choices, which MCKP cannot see).

@@ -35,7 +35,7 @@ from ..faults.campaign import (
     FaultCampaign,
 )
 from ..faults.plan import FaultKind
-from ..fleet.governor import FleetGovernor, GovernorConfig
+from ..fleet.governor import DeviceState, FleetGovernor, GovernorConfig
 from ..fleet.report import FleetReport, aggregate_fleet
 from ..fleet.scheduler import DeviceResult, FleetScheduler
 from ..fleet.variation import (
@@ -458,7 +458,7 @@ class ScenarioEngine:
         )
         governor.start()
         if self._ambient_delta != 0.0:
-            governor.set_ambient(
+            governor.device.set_ambient(
                 result.profile.thermal.t_ambient_c + self._ambient_delta
             )
         self.governors[device_id] = governor
@@ -466,6 +466,16 @@ class ScenarioEngine:
         self.last_end[device_id] = t_s
         self.invalid_streak[device_id] = 0
         return True
+
+    def _physics(self, device_id: int) -> List[DeviceState]:
+        """The physics models tracking one device: its governor's and,
+        when twinned, its oracle twin's -- both must see the same
+        ambient and idle history for the oracle gap to mean anything."""
+        devices = [self.governors[device_id].device]
+        twin = self.twins.get(device_id)
+        if twin is not None:
+            devices.append(twin.device)
+        return devices
 
     def _schedule_events(self) -> None:
         cfg = self.config
@@ -505,14 +515,9 @@ class ScenarioEngine:
             self._ambient_delta = cfg.ambient.delta_at(t_s)
             for device_id in sorted(self.governors):
                 base = self.results[device_id].profile.thermal
-                self.governors[device_id].set_ambient(
-                    base.t_ambient_c + self._ambient_delta
-                )
-            for device_id in sorted(self.twins):
-                base = self.results[device_id].profile.thermal
-                self.twins[device_id].set_ambient(
-                    base.t_ambient_c + self._ambient_delta
-                )
+                t_ambient_c = base.t_ambient_c + self._ambient_delta
+                for device in self._physics(device_id):
+                    device.set_ambient(t_ambient_c)
         intents: List[Tuple[int, FleetGovernor, object]] = []
         drift_sum, drift_n = 0.0, 0
         for device_id in sorted(self.live | self.quarantined):
@@ -526,7 +531,8 @@ class ScenarioEngine:
             governor = self.governors[device_id]
             gap_s = t_s - self.last_end[device_id]
             if gap_s > 0.0:
-                governor.idle(gap_s)
+                for device in self._physics(device_id):
+                    device.idle(gap_s)
             clock = (
                 self.campaign_clocks.clock_at(device_id, t_s)
                 if self.campaign_clocks is not None
@@ -551,8 +557,6 @@ class ScenarioEngine:
             self.demand["epochs_run"] += 1
             twin = self.twins.get(device_id)
             if twin is not None:
-                if gap_s > 0.0:
-                    twin.idle(gap_s)
                 twin.step()
                 self._governed_twin_energy += sample.true_energy_j
             if sample.valid:
@@ -880,11 +884,11 @@ class ScenarioEngine:
         if self._bridge is None:
             raise ReproError("engine not started (call start() first)")
         governors = [
-            self._governor_state(device_id, governor)
+            {"device_id": device_id, **governor.snapshot()}
             for device_id, governor in self.governors.items()
         ]
         twins = [
-            self._twin_state(device_id, twin)
+            {"device_id": device_id, **twin.snapshot()}
             for device_id, twin in self.twins.items()
         ]
         clocks: List[Dict] = []
@@ -949,44 +953,6 @@ class ScenarioEngine:
             },
             serve=self._serve_state(),
         )
-
-    @staticmethod
-    def _governor_state(
-        device_id: int, governor: FleetGovernor
-    ) -> Dict:
-        return {
-            "device_id": device_id,
-            "plan": governor._plan,
-            "battery": governor._battery,
-            "thermal": governor._thermal,
-            "temperature": governor._temperature,
-            "compensated_w": governor._compensated_w,
-            "samples": list(governor._samples),
-            "replans": governor._replans,
-            "invalid_streak": governor._invalid_streak,
-            "invalid_epochs": governor._invalid_epochs,
-            "css_events": governor._css_events,
-            "watchdog_resets": governor._watchdog_resets,
-            "pll_retries": governor._pll_retries,
-            "epoch": governor._epoch,
-            "pending": governor._pending,
-            "sensor_rng_state": governor._sensor._rng.bit_generator.state,
-        }
-
-    @staticmethod
-    def _twin_state(device_id: int, twin: OracleTwin) -> Dict:
-        return {
-            "device_id": device_id,
-            "plan": twin._plan,
-            "battery": twin._battery,
-            "thermal": twin._thermal,
-            "temperature": twin._temperature,
-            "bucket": twin._bucket,
-            "replans": twin.replans,
-            "epochs": twin.epochs,
-            "epochs_met": twin.epochs_met,
-            "true_energy_j": twin.true_energy_j,
-        }
 
     def _serve_state(self) -> Dict:
         bridge = self._bridge
@@ -1075,35 +1041,9 @@ class ScenarioEngine:
                     (entry["device_id"], index)
                 ] = clock
         for state in checkpoint.governors:
-            governor = self.governors[state["device_id"]]
-            governor._plan = state["plan"]
-            governor._battery = state["battery"]
-            governor._thermal = state["thermal"]
-            governor._temperature = state["temperature"]
-            governor._compensated_w = state["compensated_w"]
-            governor._samples = list(state["samples"])
-            governor._replans = state["replans"]
-            governor._invalid_streak = state["invalid_streak"]
-            governor._invalid_epochs = state["invalid_epochs"]
-            governor._css_events = state["css_events"]
-            governor._watchdog_resets = state["watchdog_resets"]
-            governor._pll_retries = state["pll_retries"]
-            governor._epoch = state["epoch"]
-            governor._pending = state["pending"]
-            governor._sensor._rng.bit_generator.state = state[
-                "sensor_rng_state"
-            ]
+            self.governors[state["device_id"]].restore(state)
         for state in checkpoint.twins:
-            twin = self.twins[state["device_id"]]
-            twin._plan = state["plan"]
-            twin._battery = state["battery"]
-            twin._thermal = state["thermal"]
-            twin._temperature = state["temperature"]
-            twin._bucket = state["bucket"]
-            twin.replans = state["replans"]
-            twin.epochs = state["epochs"]
-            twin.epochs_met = state["epochs_met"]
-            twin.true_energy_j = state["true_energy_j"]
+            self.twins[state["device_id"]].restore(state)
         eng = checkpoint.engine
         self.live = set(eng["live"])
         self.quarantined = set(eng["quarantined"])

@@ -8,7 +8,7 @@ deterministic drift sinusoid models shunt/reference drift over the
 day.  :class:`AmbientCycle` supplies the shared forcing function --
 a sinusoid plus optional heat-wave windows -- that the engine samples
 once per tick and pushes into every device's thermal model via
-``FleetGovernor.set_ambient``.
+:meth:`~repro.fleet.governor.DeviceState.set_ambient`.
 
 An amplitude-zero cycle with no waves is exactly "no environment":
 ``delta_at`` returns 0.0 everywhere and the engine skips the

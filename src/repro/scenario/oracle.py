@@ -11,29 +11,27 @@ same plan space -- so the scenario report's ``oracle_gap`` is the
 closed-loop tax: energy the fleet burned because it had to *discover*
 the drift instead of knowing it.
 
-The twin replays exactly the physics of the governed device -- same
-:func:`~repro.fleet.pricing.clamp_plan_to_cap` clamping, same leaky
-thermal excess on :data:`~repro.fleet.pricing.LEAKY_STATES`, same
-battery/temperature bookkeeping, same exact-exponential idle -- with
-the sensor, faults, and drift trigger removed.  It prices its windows
-through the same :class:`~repro.fleet.pricing.EpochPricer` as the
-governor.  It consumes no RNG, so adding or removing oracle twins
-never perturbs a scenario's stochastic streams.
+The twin integrates the governed device's physics through the same
+class, :class:`~repro.fleet.governor.DeviceState` -- thermal excess,
+rail cap, post-window discharge and thermal step, exact-exponential
+idle -- and prices its windows through the same
+:class:`~repro.fleet.pricing.EpochPricer`, with the sensor, faults,
+and drift trigger removed.  The scenario engine drives ambient shifts
+and idle stretches into both ``DeviceState`` objects alike.  The twin
+consumes no RNG, so adding or removing oracle twins never perturbs a
+scenario's stochastic streams.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from ..engine.schedule import DeploymentPlan
 from ..errors import PowerModelError, ReproError
-from ..fleet.governor import GovernorConfig, resolve_replan
+from ..fleet.governor import DeviceState, GovernorConfig, resolve_replan
 from ..fleet.pricing import EpochPricer
 from ..fleet.variation import DeviceProfile
 from ..nn.graph import Model
-from ..optimize.mckp import MCKPItem
+from ..optimize.mckp import front_classes
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 
 
@@ -70,52 +68,37 @@ class OracleTwin:
         self.config = config or GovernorConfig()
         self.quant_w = quant_w
         self._pricer = EpochPricer(pipeline, model)
-        node_ids = sorted(optimized.pareto_fronts)
-        self.base_classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in optimized.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        self.base_classes = front_classes(optimized.pareto_fronts)
         self.start()
 
     def start(self) -> None:
         """(Re)initialize the twin at deployment conditions."""
-        self._plan: DeploymentPlan = self.optimized.plan
-        self._battery = self.profile.battery
-        self._thermal = self.profile.thermal
-        self._temperature = self._thermal.t_ambient_c
-        self._bucket: Tuple[int, float] = (
-            0,
-            self._battery.max_sysclk_hz(),
-        )
+        self.device = DeviceState(self.optimized.plan, self.profile)
+        self._bucket: Tuple[int, float] = (0, self.device.cap_hz)
         self.replans = 0
         self.epochs = 0
         self.epochs_met = 0
         self.true_energy_j = 0.0
 
-    def set_ambient(self, t_ambient_c: float) -> None:
-        """Mirror the governed device's ambient shift."""
-        self._thermal = replace(self._thermal, t_ambient_c=t_ambient_c)
+    def snapshot(self) -> Dict:
+        """The twin's mutable state, for a scenario checkpoint."""
+        return {
+            **self.device.snapshot(),
+            "bucket": self._bucket,
+            "replans": self.replans,
+            "epochs": self.epochs,
+            "epochs_met": self.epochs_met,
+            "true_energy_j": self.true_energy_j,
+        }
 
-    def idle(
-        self, duration_s: float, sleep_power_w: float = 0.25e-3
-    ) -> None:
-        """Mirror the governed device's window-free stretch."""
-        if duration_s < 0:
-            raise PowerModelError("duration_s must be >= 0")
-        thermal = self._thermal
-        self._battery = self._battery.discharged(
-            sleep_power_w * duration_s
-        )
-        t_ss = (
-            thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
-        )
-        decay = math.exp(-duration_s / thermal.time_constant_s)
-        self._temperature = t_ss + (self._temperature - t_ss) * decay
+    def restore(self, state: Dict) -> None:
+        """Overwrite the twin's state from a :meth:`snapshot`."""
+        self.device.restore(state)
+        self._bucket = state["bucket"]
+        self.replans = state["replans"]
+        self.epochs = state["epochs"]
+        self.epochs_met = state["epochs_met"]
+        self.true_energy_j = state["true_energy_j"]
 
     def step(self) -> bool:
         """Run one clairvoyant epoch; True when the window met QoS.
@@ -124,13 +107,9 @@ class OracleTwin:
         operating point moved -- the defining clairvoyance: it never
         pays a drifted window to learn the drift exists.
         """
-        cfg = self.config
-        thermal = self._thermal
-        cap_hz = self._battery.max_sysclk_hz()
-        extra_w = (
-            thermal.leakage_at(self._temperature)
-            - thermal.leakage_ref_w
-        )
+        device = self.device
+        cap_hz = device.cap_hz
+        extra_w = device.extra_w
         bucket = (int(round(extra_w / self.quant_w)), cap_hz)
         if bucket != self._bucket:
             self._bucket = bucket
@@ -144,9 +123,9 @@ class OracleTwin:
                 fixed=self.optimized.fixed_overhead_s,
             )
             if new_plan is not None:
-                self._plan = new_plan
+                device.plan = new_plan
                 self.replans += 1
-        exec_plan, _clamped = self._pricer.clamp(self._plan, cap_hz)
+        exec_plan, _clamped = self._pricer.clamp(device.plan, cap_hz)
         try:
             window = self._pricer.window(exec_plan, self.optimized.qos_s)
         except ReproError:
@@ -155,14 +134,7 @@ class OracleTwin:
             self.epochs += 1
             return False
         true_energy = window.true_energy_j(window.true_powers(extra_w))
-        window_s = window.window_s
-        avg_power = true_energy / window_s if window_s > 0 else 0.0
-        self._battery = self._battery.discharged(
-            avg_power * cfg.epoch_s
-        )
-        self._temperature = thermal.temperature_step(
-            self._temperature, avg_power, cfg.epoch_s
-        )
+        device.advance(true_energy, window.window_s, self.config.epoch_s)
         self.epochs += 1
         self.true_energy_j += true_energy
         if window.met_qos:

@@ -187,7 +187,7 @@ class ScenarioReport:
         gap = self.oracle_gap_fraction
         if gap is not None:
             lines.append(
-                f"  oracle gap: +{gap:.2%} energy vs clairvoyant "
+                f"  oracle gap: {gap:+.2%} energy vs clairvoyant "
                 f"({self.oracle.get('devices', 0)} twinned devices)"
             )
         if self.health is not None:

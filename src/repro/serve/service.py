@@ -42,7 +42,7 @@ from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..obs.tracing import span
-from ..optimize.mckp import MCKPItem, reprice_classes
+from ..optimize.mckp import front_classes, reprice_classes
 from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..units import MHZ
@@ -511,16 +511,7 @@ class PlanService:
         if result is None:
             _, result = self._optimize(model_name, qos_key, board_name)
         pipeline = self._state_for(board_name).pipeline
-        node_ids = sorted(result.pareto_fronts)
-        classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in result.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        classes = front_classes(result.pareto_fronts)
         item_filter = None
         if max_hfo_mhz is not None:
             cap_hz = max_hfo_mhz * MHZ

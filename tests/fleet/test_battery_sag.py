@@ -96,27 +96,27 @@ class TestSagClamp:
         knee_v, cap_hz = knee_below(plan_max_hz(plan))
 
         # A hair of terminal voltage above the knee: full cap, no clamp.
-        governor.set_battery(sag_state(knee_v + 0.01))
+        governor.device.battery = sag_state(knee_v + 0.01)
         assert not governor.step().clamped
 
         # Just below the knee: the rail caps the plan's fastest layers.
-        governor.set_battery(sag_state(knee_v - 0.01))
+        governor.device.battery = sag_state(knee_v - 0.01)
         sample = governor.step()
         assert sample.clamped
-        assert governor.battery_state.max_sysclk_hz() == cap_hz
+        assert governor.device.battery.max_sysclk_hz() == cap_hz
 
     def test_clamp_releases_on_recovery(self, tiny):
         governor, plan = plan_governor(tiny)
         knee_v, _cap_hz = knee_below(plan_max_hz(plan))
 
-        governor.set_battery(sag_state(knee_v - 0.01))
+        governor.device.battery = sag_state(knee_v - 0.01)
         assert governor.step().clamped
 
         # Cell swap / recharge: the full rail returns and the very
         # next epoch runs the original plan unclamped.
-        governor.set_battery(BatteryState(battery=Battery()))
+        governor.device.battery = BatteryState(battery=Battery())
         assert not governor.step().clamped
-        assert governor.plan is plan  # frozen plan never moved
+        assert governor.device.plan is plan  # frozen plan never moved
 
     def test_clamp_never_raises_above_pre_sag_plan(self, tiny):
         governor, plan = plan_governor(tiny)
@@ -174,7 +174,7 @@ class TestSagClamp:
         monkeypatch.setattr(runtime, "run", counting)
 
         def runs_for(battery):
-            governor.set_battery(battery)
+            governor.device.battery = battery
             before = len(runs)
             governor.step()
             return len(runs) - before

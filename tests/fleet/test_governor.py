@@ -11,6 +11,7 @@ from repro.fleet import (
     sample_fleet,
     supervise_device,
 )
+from repro.fleet.governor import FleetGovernor
 from repro.fleet.variation import DeviceProfile
 from repro.mcu import make_nucleo_f767zi
 from repro.nn import build_tiny_test_model
@@ -131,6 +132,38 @@ class TestThermalDrift:
         trigger = next(s for s in governed.samples if s.replanned)
         after = governed.samples[trigger.epoch + 1]
         assert abs(after.drift) < abs(trigger.drift)
+
+
+class TestDeferredReplan:
+    def test_deferred_apply_matches_inline_supervision(self, tiny):
+        """``step(defer_replan=True)`` + ``apply_replan()`` with every
+        replan granted is the inline ``supervise()`` path, bit for bit:
+        the scenario engine defers, the fleet path applies inline."""
+        config = GovernorConfig(epochs=12, max_replans=8)
+        profile = make_profile(leak_mult=6.0, ambient_c=55.0)
+        scheduler = FleetScheduler(tiny, qos_level=MODERATE)
+        result = scheduler.plan_device(profile)
+        pipeline = scheduler.pipeline_for(profile)
+
+        def governor():
+            return FleetGovernor(
+                pipeline, profile, tiny, result.optimized, config
+            )
+
+        inline = governor().supervise()
+        deferred_governor = governor()
+        deferred_governor.start()
+        for epoch in range(config.epochs):
+            deferred_governor.step(
+                epoch * config.epoch_s, defer_replan=True
+            )
+            if deferred_governor.pending_replan is not None:
+                deferred_governor.apply_replan()
+        deferred = deferred_governor.result()
+        assert inline.replans >= 2
+        assert deferred.samples == inline.samples
+        assert deferred.replans == inline.replans
+        assert deferred.final_plan == inline.final_plan
 
 
 class TestBatterySag:

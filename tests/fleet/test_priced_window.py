@@ -68,8 +68,8 @@ def fresh_true_energy(governor):
     """The next epoch's true energy, recomputed interval by interval
     from a fresh runtime run of the plan in force."""
     exec_plan, _ = clamp_plan_to_cap(
-        governor.plan,
-        governor.battery_state.max_sysclk_hz(),
+        governor.device.plan,
+        governor.device.battery.max_sysclk_hz(),
         governor.pipeline.space.hfo_configs,
     )
     ref = governor.pipeline.runtime.run(
@@ -80,7 +80,8 @@ def fresh_true_energy(governor):
     )
     thermal = governor.profile.thermal
     extra_w = (
-        thermal.leakage_at(governor.temperature_c) - thermal.leakage_ref_w
+        thermal.leakage_at(governor.device.temperature_c)
+        - thermal.leakage_ref_w
     )
     return sum(
         iv.duration_s
@@ -143,9 +144,9 @@ class TestInvalidation:
         runs_during(calls, step)
         while governor.pending_replan is None:
             assert runs_during(calls, step) == []
-        old_plan = governor.plan
+        old_plan = governor.device.plan
         assert governor.apply_replan()
-        assert governor.plan.layer_plans != old_plan.layer_plans
+        assert governor.device.plan.layer_plans != old_plan.layer_plans
         assert len(runs_during(calls, step)) == 1
 
     def test_power_model_replacement_rebuilds_the_window(

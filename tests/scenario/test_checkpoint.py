@@ -8,7 +8,11 @@ config, see ``test_run_isolation.py``.)
 import pytest
 
 from repro.errors import ReproError
-from repro.recovery import load_checkpoint, save_checkpoint
+from repro.recovery import (
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.scenario import ScenarioEngine, resume_scenario, run_scenario
 from repro.scenario.library import churn_heavy, flash_crowd, smoke
 
@@ -98,3 +102,30 @@ class TestCheckpointRestrictions:
         assert checkpoint.events_processed == 3
         assert checkpoint.clock_now >= 0.0
         assert checkpoint.governors  # initial fleet snapshotted
+
+
+class TestCheckpointSchema:
+    """The v2 per-device state keys: a checkpoint written by one tree
+    must resume on another of the same ``CHECKPOINT_VERSION``."""
+
+    GOVERNOR_KEYS = {
+        "device_id", "plan", "battery", "thermal", "temperature",
+        "compensated_w", "samples", "replans", "invalid_streak",
+        "invalid_epochs", "css_events", "watchdog_resets",
+        "pll_retries", "epoch", "pending", "sensor_rng_state",
+    }
+    TWIN_KEYS = {
+        "device_id", "plan", "battery", "thermal", "temperature",
+        "bucket", "replans", "epochs", "epochs_met", "true_energy_j",
+    }
+
+    def test_device_state_keys_are_the_v2_schema(self, tmp_path):
+        path = tmp_path / "schema.ckpt"
+        checkpoint_at(small_smoke(), 3, path)
+        checkpoint = load_checkpoint(str(path))
+        assert checkpoint.version == CHECKPOINT_VERSION == 2
+        assert checkpoint.governors and checkpoint.twins
+        for state in checkpoint.governors:
+            assert set(state) == self.GOVERNOR_KEYS
+        for state in checkpoint.twins:
+            assert set(state) == self.TWIN_KEYS
