@@ -124,8 +124,7 @@ class FleetScheduler:
             (and real deployments ship one frequency grid, not one per
             unit).
         trace_params: access-pattern constants.
-        solver / dp_resolution / max_refinements: forwarded to each
-            device pipeline.
+        solver: forwarded to each device pipeline.
         max_workers: thread-pool width for :meth:`run_pooled`.
         share: wire devices into the fleet-shared pricing state.  Off,
             every device pays the full single-device planning cost on
@@ -149,8 +148,6 @@ class FleetScheduler:
         base_board: Optional[Board] = None,
         trace_params: Optional[TraceParams] = None,
         solver: str = "dp",
-        dp_resolution: int = 4000,
-        max_refinements: int = 3,
         max_workers: int = 4,
         share: bool = True,
         fault_plan: Optional[FaultPlan] = None,
@@ -171,8 +168,6 @@ class FleetScheduler:
         self.base_board = base_board or make_nucleo_f767zi()
         self.trace_params = trace_params
         self.solver = solver
-        self.dp_resolution = dp_resolution
-        self.max_refinements = max_refinements
         self.max_workers = max_workers
         self.share = share
         self.fault_plan = fault_plan
@@ -263,8 +258,6 @@ class FleetScheduler:
                 space=group.space,
                 trace_params=self.trace_params,
                 solver=self.solver,
-                dp_resolution=self.dp_resolution,
-                max_refinements=self.max_refinements,
             )
         explorer = SharedComponentExplorer(board, group.space, group.shared)
         runtime = ReplayingRuntime(board, group.shared, self.trace_params)
@@ -273,8 +266,6 @@ class FleetScheduler:
             space=group.space,
             trace_params=self.trace_params,
             solver=self.solver,
-            dp_resolution=self.dp_resolution,
-            max_refinements=self.max_refinements,
             explorer=explorer,
             runtime=runtime,
         )

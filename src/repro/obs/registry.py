@@ -1,29 +1,26 @@
 """Unified metrics registry: counters, gauges, log-bucket histograms.
 
-Before this module existed every subsystem kept private counters --
-``serve/metrics.py`` had histograms only the TCP server could see, the
-pipeline and the fleet pricing caches counted hits on their own
-instances, and governor re-plans only surfaced in end-of-run reports.
-The registry gives all of them one process-wide home: a metric is a
+Every subsystem records into one process-wide home: a metric is a
 **labeled family** (``pipeline.cache`` with labels ``cache=cloud,
-event=hit``), every subsystem records into the default registry, and
-one :meth:`MetricsRegistry.snapshot` returns the coherent cross-layer
-view the serve ``stats`` endpoint (and the ``repro-dvfs obs`` CLI)
-reports.
+event=hit``), and one :meth:`MetricsRegistry.snapshot` returns the
+coherent cross-layer view the serve ``stats`` endpoint (and the
+``repro-dvfs obs`` CLI) reports.  A component that needs its own
+counts -- each serve instance -- records into a
+:meth:`MetricsRegistry.child` of the default registry; the parent's
+snapshot merges its children in, so the process view stays whole.
 
 Naming convention (see ``docs/observability.md``): family names are
 dotted ``<subsystem>.<thing>`` (``pipeline.cache``, ``fleet.pricing``,
 ``serve.sheds``); labels are short lowercase keys; event-style
 counters use an ``event`` label rather than separate families.
 
-:class:`LatencyHistogram` lives here (promoted out of
-``repro.serve.metrics``, which re-exports it for compatibility): a
-fixed log-spaced-bucket histogram whose percentile answers are bucket
-*upper bounds* -- a deterministic over-estimate whose relative error
-is bounded by the bucket ratio, ``10 ** (1/buckets_per_decade) - 1``
-(~33% at the default 8 buckets/decade).  :meth:`LatencyHistogram.buckets`
-exposes the exact per-bucket counts so clients can compute tighter
-two-sided bounds themselves (documented in ``docs/api.md``).
+:class:`LatencyHistogram` is a fixed log-spaced-bucket histogram
+whose percentile answers are bucket *upper bounds* -- a deterministic
+over-estimate whose relative error is bounded by the bucket ratio,
+``10 ** (1/buckets_per_decade) - 1`` (~33% at the default 8
+buckets/decade).  :meth:`LatencyHistogram.buckets` exposes the exact
+per-bucket counts so clients can compute tighter two-sided bounds
+themselves (documented in ``docs/api.md``).
 
 Everything is lock-protected and cheap to record -- one bisect and a
 few integer adds per observation -- so metrics never become the reason
@@ -232,6 +229,20 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
+        self._children: List["MetricsRegistry"] = []
+
+    def child(self) -> "MetricsRegistry":
+        """A new registry whose families this one's snapshot includes.
+
+        The parent keeps the child for its own lifetime, so counts
+        recorded into a child (one per serve instance) never drop out
+        of the process view.  :meth:`counter_value` reads the
+        registry's own families only.
+        """
+        child = MetricsRegistry()
+        with self._lock:
+            self._children.append(child)
+        return child
 
     def _family(self, name: str, cls, label_names: Tuple[str, ...], **kw):
         with self._lock:
@@ -308,10 +319,14 @@ class MetricsRegistry:
 
         Shape: ``{"counters": {name: {label_repr: value}}, "gauges":
         {...}, "histograms": {name: {label_repr: summary+buckets}}}``.
-        Unlabeled metrics use the empty-string label key.
+        Unlabeled metrics use the empty-string label key.  Children's
+        snapshots (see :meth:`child`) merge in with
+        :func:`merge_snapshot`: counters and histograms add, a gauge
+        takes the newest child's value.
         """
         with self._lock:
             families = sorted(self._families.items())
+            children = list(self._children)
         counters: Dict[str, Dict[str, float]] = {}
         gauges: Dict[str, Dict[str, float]] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
@@ -333,16 +348,26 @@ class MetricsRegistry:
                     family._label_repr(key): cell[0]
                     for key, cell in family.items()
                 }
-        return {
+        own = {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
+        if not children:
+            return own
+        return merge_snapshot(
+            [own] + [child.snapshot() for child in children],
+            gauge_merge="last",
+        )
 
     def reset(self) -> None:
-        """Drop every family (tests; production registries live forever)."""
+        """Drop every family, children's too (tests; production
+        registries live forever).  Children stay attached."""
         with self._lock:
             self._families.clear()
+            children = list(self._children)
+        for child in children:
+            child.reset()
 
 
 def _merge_histogram_dicts(parts: List[Dict[str, Any]]) -> Dict[str, Any]:

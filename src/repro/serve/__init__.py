@@ -6,10 +6,11 @@ JSON-lines protocol (:mod:`.protocol`), a bounded LRU plan cache
 requests into one shared-explorer run (:mod:`.batcher`), admission
 control that sheds load with a structured response instead of queueing
 unboundedly (:mod:`.admission`), an asyncio TCP server and clients
-(:mod:`.server`, :mod:`.client`), per-endpoint latency metrics
-(:mod:`.metrics`), the synchronous planning backend (:mod:`.service`)
-and a seeded load generator -- closed-loop, burst, and multi-client
-open-loop with latency-SLO gates (:mod:`.loadgen`).
+(:mod:`.server`, :mod:`.client`), the ``stats`` metrics block read
+out of each server's own registry (:mod:`.metrics`), the synchronous
+planning backend (:mod:`.service`) and a seeded load generator --
+closed-loop, burst, and multi-client open-loop with latency-SLO gates
+(:mod:`.loadgen`).
 
 The tier also scales *out*: :mod:`.router` fronts N ``spawn``-ed
 worker processes (:mod:`.worker`, each a full :class:`PlanServer`)
@@ -29,7 +30,6 @@ from .batcher import PlanBatcher
 from .cache import PlanCache
 from .client import InProcessClient, ServeClient
 from .loadgen import LoadGenConfig, run_loadgen
-from .metrics import ServeMetrics
 from .protocol import (
     PROTOCOL_VERSION,
     ErrorPayload,
@@ -65,7 +65,6 @@ __all__ = [
     "RouterConfig",
     "ServeClient",
     "ServeConfig",
-    "ServeMetrics",
     "ShardRouter",
     "SharedCache",
     "TokenBucket",

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import DeadlineExceededError, ReproError
+from ..obs.registry import MetricsRegistry
 from ..obs.tracing import span, wrap
-from .metrics import ServeMetrics
 
 
 @dataclass
@@ -45,7 +45,8 @@ class PlanBatcher:
     """Coalesces identical requests into one shared-explorer run.
 
     Args:
-        metrics: batch sizes are reported here.
+        registry: counts ``serve.batches`` and
+            ``serve.batched_requests`` here (None: not counted).
         window_s: collection window between the first request of a
             batch and its dispatch; concurrent requests arriving
             within it (or while the work runs) share one execution.
@@ -58,7 +59,7 @@ class PlanBatcher:
 
     def __init__(
         self,
-        metrics: Optional[ServeMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
         window_s: float = 0.002,
         max_batch: int = 32,
         max_workers: int = 4,
@@ -71,7 +72,7 @@ class PlanBatcher:
             raise ReproError("max_batch must be >= 1")
         if max_workers < 1:
             raise ReproError("max_workers must be >= 1")
-        self.metrics = metrics
+        self.registry = registry
         self.window_s = window_s
         self.max_batch = max_batch
         self.enabled = enabled
@@ -146,9 +147,10 @@ class PlanBatcher:
                     min(self.window_s / 4, deadline - loop.time())
                 )
         batch.dispatched = True
-        if self.metrics is not None:
-            self.metrics.record_batch(batch.size)
         size = batch.size
+        if self.registry is not None:
+            self.registry.count("serve.batches")
+            self.registry.count("serve.batched_requests", n=size)
 
         def call():
             with span("serve.batch", op=str(key[0]), size=size):

@@ -292,8 +292,6 @@ async def _verify_digests(
     oracle = PlanService(
         cache_enabled=False,
         solver=config.serve.solver,
-        dp_resolution=config.serve.dp_resolution,
-        max_refinements=config.serve.max_refinements,
     )
     extra = {} if config.board is None else {"board": config.board}
 

@@ -54,6 +54,7 @@ from ..recovery.journal import (
     replay_into_cache,
 )
 from .client import ServeClient
+from .metrics import serve_totals
 from .protocol import (
     Request,
     Response,
@@ -882,39 +883,6 @@ class ShardRouter(JsonLinesListener):
             payload["exposition"] = to_prometheus(merged)
         return payload
 
-    @staticmethod
-    def _legacy_totals(registry: Dict[str, Any]) -> Dict[str, Any]:
-        """The pre-merge ``metrics`` block, derived from a merged
-        registry snapshot so existing consumers of the single-process
-        schema keep working (wire compatibility)."""
-
-        def _cells(family: str) -> Dict[str, float]:
-            return registry.get("counters", {}).get(family, {})
-
-        def _by_label(family: str) -> Dict[str, int]:
-            return {
-                label_repr.partition("=")[2]: int(value)
-                for label_repr, value in sorted(
-                    _cells(family).items()
-                )
-            }
-
-        def _total(family: str) -> int:
-            return int(sum(_cells(family).values()))
-
-        batches = _total("serve.batches")
-        batched = _total("serve.batched_requests")
-        return {
-            "requests_total": _total("serve.requests"),
-            "requests_by_op": _by_label("serve.requests"),
-            "errors_by_kind": _by_label("serve.errors"),
-            "sheds_by_reason": _by_label("serve.sheds"),
-            "shed_count": _total("serve.sheds"),
-            "batches": batches,
-            "batched_requests": batched,
-            "coalesce_ratio": batched / batches if batches else 0.0,
-        }
-
     async def stats(self) -> Dict[str, Any]:
         """Aggregated stats: router view, per-worker payloads, totals.
 
@@ -924,10 +892,11 @@ class ShardRouter(JsonLinesListener):
         merges those losslessly via
         :func:`repro.obs.registry.merge_snapshot` (together with its
         own registry) and publishes the result under ``registry`` --
-        histograms and all, nothing hand-picked.  The legacy
-        ``metrics`` block is *derived* from the merged registry for
-        wire compatibility, and the per-worker views stay available
-        under ``workers``.
+        histograms and all, nothing hand-picked.  The ``metrics``
+        block is read out of the merged registry by
+        :func:`~repro.serve.metrics.serve_totals`, as each worker's
+        own is, and the per-worker views stay available under
+        ``workers``.
         """
         local = self._stats_local()
         workers: Dict[str, Any] = {}
@@ -949,7 +918,7 @@ class ShardRouter(JsonLinesListener):
                 cache[key] += stats.get("cache", {}).get(key, 0)
         return {
             **local,
-            "metrics": self._legacy_totals(merged_registry),
+            "metrics": serve_totals(merged_registry),
             "cache": cache,
             "registry": merged_registry,
             "audit": get_audit_log().counts(),

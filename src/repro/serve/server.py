@@ -24,6 +24,7 @@ closes first, in-flight requests drain (bounded by
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
@@ -36,7 +37,7 @@ from ..obs.tracing import correlation, get_tracer, span
 from .admission import AdmissionController, ArrivalClock, TokenBucket
 from .batcher import PlanBatcher
 from .cache import PlanCache
-from .metrics import ServeMetrics
+from .metrics import serve_totals
 from .protocol import (
     Request,
     Response,
@@ -53,7 +54,7 @@ class ServeConfig:
 
     Attributes:
         host / port: TCP bind address (port 0 picks a free port).
-        solver / dp_resolution / max_refinements: pipeline knobs.
+        solver: the pipeline's MCKP solver.
         cache_enabled / cache_capacity: the LRU plan cache.
         batch_enabled / batch_window_s / max_batch: micro-batching.
         workers: planner thread-pool width.
@@ -84,8 +85,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     solver: str = "dp"
-    dp_resolution: int = 4000
-    max_refinements: int = 3
     cache_enabled: bool = True
     cache_capacity: int = 256
     batch_enabled: bool = True
@@ -236,7 +235,12 @@ class PlanServer(JsonLinesListener):
     ):
         self.config = config or ServeConfig()
         cfg = self.config
-        self.metrics = ServeMetrics()
+        # Every serve event is recorded once, here; the process
+        # registry's snapshot merges this child in.
+        self.registry = get_registry().child()
+        self._queue_depth_peak = 0
+        # model -> {"count", "drift_sum", "abs_drift_max"}
+        self._drift: Dict[str, Dict[str, float]] = {}
         self.cache = PlanCache(capacity=cfg.cache_capacity)
         service_kwargs = {}
         if cfg.default_board is not None:
@@ -249,15 +253,13 @@ class PlanServer(JsonLinesListener):
             cache=self.cache,
             cache_enabled=cfg.cache_enabled and not cfg.stateless,
             solver=cfg.solver,
-            dp_resolution=cfg.dp_resolution,
-            max_refinements=cfg.max_refinements,
             shared_cache=(
                 shared_cache if not cfg.stateless else None
             ),
             **service_kwargs,
         )
         if cfg.worker_id is not None:
-            get_registry().gauge_set(
+            self.registry.gauge_set(
                 "serve.worker_up", 1.0, worker=str(cfg.worker_id)
             )
         bucket = None
@@ -276,7 +278,7 @@ class PlanServer(JsonLinesListener):
             max_queue_depth=cfg.max_queue_depth, bucket=bucket
         )
         self.batcher = PlanBatcher(
-            metrics=self.metrics,
+            registry=self.registry,
             window_s=cfg.batch_window_s,
             max_batch=cfg.max_batch,
             max_workers=cfg.workers,
@@ -323,10 +325,11 @@ class PlanServer(JsonLinesListener):
                 raise ProtocolError(f"unknown op {request.op!r}")
         except Exception as err:  # noqa: BLE001 - typed wire errors
             payload = error_from_exception(err)
-            self.metrics.record_error(payload.kind)
+            self.registry.count("serve.errors", kind=payload.kind)
             return Response(id=request.id, ok=False, error=payload)
-        self.metrics.record_request(
-            request.op, time.perf_counter() - start
+        self.registry.count("serve.requests", op=request.op)
+        self.registry.observe(
+            "serve.latency", time.perf_counter() - start, op=request.op
         )
         return Response.success(request.id, result)
 
@@ -337,9 +340,9 @@ class PlanServer(JsonLinesListener):
         try:
             depth = self.admission.admit()
         except OverloadedError as err:
-            self.metrics.record_shed(err.reason)
+            self.registry.count("serve.sheds", reason=err.reason)
             raise
-        self.metrics.record_queue_depth(depth)
+        self._record_depth(depth)
         try:
             key, fn = self._planning_call(request)
             if key[0] == "plan" and key[-1]:
@@ -351,7 +354,15 @@ class PlanServer(JsonLinesListener):
                     return hit
             return await self.batcher.submit(key, fn, deadline_s)
         finally:
-            self.metrics.record_queue_depth(self.admission.release())
+            self._record_depth(self.admission.release())
+
+    def _record_depth(self, depth: int) -> None:
+        """Publish the in-flight gauge and its high-water mark."""
+        self._queue_depth_peak = max(self._queue_depth_peak, depth)
+        self.registry.gauge_set("serve.queue_depth", float(depth))
+        self.registry.gauge_set(
+            "serve.queue_depth_peak", float(self._queue_depth_peak)
+        )
 
     def _planning_call(self, request: Request):
         """(coalescing key, blocking thunk) for a plan/reprice request.
@@ -416,10 +427,27 @@ class PlanServer(JsonLinesListener):
             raise ProtocolError(
                 f"telemetry needs numeric predicted/measured energy: {err}"
             ) from err
-        aggregate = self.metrics.record_telemetry(
-            model, predicted, measured
+        # A NaN or infinity would poison the model's drift aggregate
+        # for the server's life and put non-standard JSON on the wire.
+        if not (math.isfinite(predicted) and predicted > 0):
+            raise ProtocolError(
+                "predicted_energy_j must be finite and > 0, "
+                f"got {params['predicted_energy_j']!r}"
+            )
+        if not (math.isfinite(measured) and measured >= 0):
+            raise ProtocolError(
+                "measured_energy_j must be finite and >= 0, "
+                f"got {params['measured_energy_j']!r}"
+            )
+        drift = (measured - predicted) / predicted
+        self.registry.count("serve.telemetry_samples", model=model)
+        entry = self._drift.setdefault(
+            model, {"count": 0, "drift_sum": 0.0, "abs_drift_max": 0.0}
         )
-        return {"model": model, **aggregate}
+        entry["count"] += 1
+        entry["drift_sum"] += drift
+        entry["abs_drift_max"] = max(entry["abs_drift_max"], abs(drift))
+        return {"model": model, **_drift_summary(entry)}
 
     async def _health(self, params: Dict[str, Any]) -> Dict[str, Any]:
         refresh = bool(params.get("refresh", False))
@@ -462,9 +490,26 @@ class PlanServer(JsonLinesListener):
         pipeline/fleet internals that happen off the request path)."""
         self.service.publish_registry()
         shared = self.service.shared_cache
+        own = self.registry.snapshot()
+        depth = own["gauges"].get("serve.queue_depth", {}).get("", 0.0)
+        metrics = {
+            **serve_totals(own),
+            "queue_depth": int(depth),
+            "queue_depth_peak": self._queue_depth_peak,
+            "latency_by_op": {
+                label.partition("=")[2]: summary
+                for label, summary in own["histograms"]
+                .get("serve.latency", {})
+                .items()
+            },
+            "telemetry": {
+                model: _drift_summary(entry)
+                for model, entry in sorted(self._drift.items())
+            },
+        }
         return {
             "worker_id": self.config.worker_id,
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
             "cache": self.cache.stats(),
             "shared_cache": shared.stats() if shared is not None else None,
             "registry": get_registry().snapshot(),
@@ -498,13 +543,13 @@ class PlanServer(JsonLinesListener):
             request = decode_request(line)
         except ReproError as err:
             payload = error_from_exception(err)
-            self.metrics.record_error(payload.kind)
+            self.registry.count("serve.errors", kind=payload.kind)
             return encode_response(
                 Response(id="", ok=False, error=payload)
             )
         if self._draining:
             err = OverloadedError(reason="draining", retry_after_s=1.0)
-            self.metrics.record_shed("draining")
+            self.registry.count("serve.sheds", reason="draining")
             return encode_response(Response.failure(request.id, err))
         response = await self.handle_request(request)
         return encode_response(response)
@@ -516,6 +561,15 @@ class PlanServer(JsonLinesListener):
         self._draining = True
         await self._drain_listener()
         self.batcher.shutdown()
+
+
+def _drift_summary(entry: Dict[str, float]) -> Dict[str, float]:
+    """One model's telemetry aggregate as the wire reports it."""
+    return {
+        "samples": entry["count"],
+        "mean_drift": entry["drift_sum"] / entry["count"],
+        "max_abs_drift": entry["abs_drift_max"],
+    }
 
 
 async def serve_forever(config: Optional[ServeConfig] = None) -> None:

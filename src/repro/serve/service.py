@@ -118,7 +118,7 @@ class PlanService:
             the warm pipeline and once per cold (stateless) plan.
         cache: the plan cache (constructed if omitted).
         cache_enabled: look plans up before planning.
-        solver / dp_resolution / max_refinements: pipeline knobs.
+        solver: the pipeline's MCKP solver.
         max_front_store: recent (model, QoS) optimization results kept
             for the ``reprice`` endpoint.
         shared_cache: optional cross-worker plan-cache tier consulted
@@ -132,8 +132,6 @@ class PlanService:
         cache: Optional[PlanCache] = None,
         cache_enabled: bool = True,
         solver: str = "dp",
-        dp_resolution: int = 4000,
-        max_refinements: int = 3,
         max_front_store: int = 32,
         shared_cache: Optional[Any] = None,
     ):
@@ -142,8 +140,6 @@ class PlanService:
         self.cache_enabled = cache_enabled
         self.shared_cache = shared_cache
         self.solver = solver
-        self.dp_resolution = dp_resolution
-        self.max_refinements = max_refinements
         self.board = board_factory()
         self.shared = FleetSharedState(self.board)
         self.pipeline = self._build_pipeline(self.board, shared=True)
@@ -182,8 +178,6 @@ class PlanService:
             return DAEDVFSPipeline(
                 board=board,
                 solver=self.solver,
-                dp_resolution=self.dp_resolution,
-                max_refinements=self.max_refinements,
             )
         state = shared_state if shared_state is not None else self.shared
         space = self._space_for(board)
@@ -193,8 +187,6 @@ class PlanService:
             board=board,
             space=space,
             solver=self.solver,
-            dp_resolution=self.dp_resolution,
-            max_refinements=self.max_refinements,
             explorer=explorer,
             runtime=runtime,
         )

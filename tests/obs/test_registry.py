@@ -8,6 +8,7 @@ from repro.obs.registry import (
     LatencyHistogram,
     MetricsRegistry,
     _log_bounds,
+    snapshot_digest,
 )
 
 
@@ -125,16 +126,87 @@ class TestMetricsRegistry:
 
 
 class TestServeMetricsCompat:
-    def test_serve_metrics_mirror_into_registry(self, registry):
-        from repro.serve.metrics import ServeMetrics
+    """A server records into its own child registry; the process
+    registry's snapshot still shows those counts."""
 
-        m = ServeMetrics()
-        m.record_request("plan", 0.01)
-        m.record_shed("queue_full")
-        assert registry.counter_value("serve.requests", op="plan") == 1.0
-        assert registry.counter_value(
-            "serve.sheds", reason="queue_full"
-        ) == 1.0
-        snap = m.snapshot()
+    def test_serve_metrics_mirror_into_registry(self, registry):
+        import asyncio
+
+        from repro.errors import OverloadedError
+        from repro.serve import InProcessClient, PlanServer, ServeConfig
+
+        async def main():
+            server = PlanServer(
+                ServeConfig(workers=1, max_queue_depth=1)
+            )
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            server.admission.admit()  # fill the only slot
+            with pytest.raises(OverloadedError):
+                await client.request("plan", model="tiny", qos_percent=30)
+            server.admission.release()
+            snap = server.stats()["metrics"]
+            await server.stop()
+            return server, snap
+
+        server, snap = asyncio.run(main())
+        own = server.registry
+        assert own.counter_value("serve.requests", op="plan") == 1.0
+        assert own.counter_value("serve.sheds", reason="queue_full") == 1.0
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.requests"] == {"op=plan": 1.0}
+        assert counters["serve.sheds"] == {"reason=queue_full": 1.0}
         assert snap["latency_by_op"]["plan"]["count"] == 1
         assert snap["latency_by_op"]["plan"]["buckets"]
+
+
+class TestChildRegistries:
+    @staticmethod
+    def _record(registry):
+        registry.count("serve.requests", op="plan")
+        registry.count("serve.requests", n=2.0, op="reprice")
+        registry.gauge_set("serve.queue_depth", 3.0)
+        registry.observe("serve.latency", 0.25, op="plan")
+        registry.observe("serve.latency", 0.5, op="plan")
+
+    def test_one_child_snapshots_like_one_registry(self):
+        parent, flat = MetricsRegistry(), MetricsRegistry()
+        parent.count("pipeline.cache", cache="cloud", event="hit")
+        flat.count("pipeline.cache", cache="cloud", event="hit")
+        self._record(parent.child())
+        self._record(flat)
+        assert snapshot_digest(parent.snapshot()) == snapshot_digest(
+            flat.snapshot()
+        )
+
+    def test_two_children_add_counters_and_keep_newest_gauge(self):
+        parent = MetricsRegistry()
+        old, new = parent.child(), parent.child()
+        new.gauge_set("serve.queue_depth", 1.0)
+        new.count("serve.requests", op="plan")
+        old.count("serve.requests", n=2.0, op="plan")
+        old.gauge_set("serve.queue_depth", 5.0)  # recorded last, older child
+        old.observe("serve.latency", 0.25, op="plan")
+        new.observe("serve.latency", 0.5, op="plan")
+        snap = parent.snapshot()
+        assert snap["counters"]["serve.requests"] == {"op=plan": 3.0}
+        assert snap["gauges"]["serve.queue_depth"] == {"": 1.0}
+        assert snap["histograms"]["serve.latency"]["op=plan"]["count"] == 2
+
+    def test_counter_value_reads_own_families_only(self):
+        parent = MetricsRegistry()
+        parent.child().count("serve.requests", op="plan")
+        assert parent.counter_value("serve.requests", op="plan") == 0.0
+
+    def test_reset_clears_children_and_keeps_them_attached(self):
+        parent = MetricsRegistry()
+        child = parent.child()
+        child.count("serve.requests", op="plan")
+        parent.reset()
+        assert parent.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        child.count("serve.requests", op="plan")
+        assert parent.snapshot()["counters"]["serve.requests"] == {
+            "op=plan": 1.0
+        }

@@ -6,8 +6,8 @@ import threading
 import pytest
 
 from repro.errors import DeadlineExceededError, ReproError, SolverError
+from repro.obs.registry import MetricsRegistry
 from repro.serve.batcher import PlanBatcher
-from repro.serve.metrics import ServeMetrics
 
 
 def run(coro):
@@ -25,19 +25,19 @@ class TestCoalescing:
             return "plan"
 
         async def main():
-            metrics = ServeMetrics()
-            batcher = PlanBatcher(metrics=metrics, window_s=0.01)
+            registry = MetricsRegistry()
+            batcher = PlanBatcher(registry=registry, window_s=0.01)
             results = await asyncio.gather(
                 *(batcher.submit(("k",), work) for _ in range(8))
             )
             batcher.shutdown()
-            return results, metrics
+            return results, registry
 
-        results, metrics = run(main())
+        results, registry = run(main())
         assert results == ["plan"] * 8
         assert len(calls) == 1
-        assert metrics.batches == 1
-        assert metrics.batched_requests == 8
+        assert registry.counter_value("serve.batches") == 1
+        assert registry.counter_value("serve.batched_requests") == 8
 
     def test_distinct_keys_run_separately(self):
         seen = []
@@ -108,9 +108,9 @@ class TestCloseAtDispatch:
             return execution
 
         async def main():
-            metrics = ServeMetrics()
+            registry = MetricsRegistry()
             batcher = PlanBatcher(
-                metrics=metrics, window_s=0.005, max_batch=2
+                registry=registry, window_s=0.005, max_batch=2
             )
             first = asyncio.ensure_future(batcher.submit(("k",), work))
             second = asyncio.ensure_future(batcher.submit(("k",), work))
@@ -122,33 +122,33 @@ class TestCloseAtDispatch:
             release.set()
             results = await asyncio.gather(first, second, third)
             batcher.shutdown()
-            return results, metrics
+            return results, registry
 
-        results, metrics = run(main())
+        results, registry = run(main())
         # The pair shared execution #1; the late arrival got its own.
         assert results[0] == results[1] == 1
         assert results[2] == 2
         assert len(calls) == 2
         # Accounting is exact: two batches, every waiter counted.
-        assert metrics.batches == 2
-        assert metrics.batched_requests == 3
+        assert registry.counter_value("serve.batches") == 2
+        assert registry.counter_value("serve.batched_requests") == 3
 
     def test_max_batch_size_is_recorded_exactly(self):
         async def main():
-            metrics = ServeMetrics()
+            registry = MetricsRegistry()
             batcher = PlanBatcher(
-                metrics=metrics, window_s=10.0, max_batch=3
+                registry=registry, window_s=10.0, max_batch=3
             )
             results = await asyncio.gather(
                 *(batcher.submit(("k",), lambda: "p") for _ in range(3))
             )
             batcher.shutdown()
-            return results, metrics
+            return results, registry
 
-        results, metrics = run(main())
+        results, registry = run(main())
         assert results == ["p"] * 3
-        assert metrics.batches == 1
-        assert metrics.batched_requests == 3
+        assert registry.counter_value("serve.batches") == 1
+        assert registry.counter_value("serve.batched_requests") == 3
 
 
 class TestDeadlines:

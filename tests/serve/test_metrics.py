@@ -1,9 +1,13 @@
 """Serve metrics: histograms, counters, telemetry aggregation."""
 
+import asyncio
+
 import pytest
 
-from repro.obs.registry import LatencyHistogram
-from repro.serve.metrics import ServeMetrics
+from repro.errors import OverloadedError, QoSInfeasibleError
+from repro.obs.registry import LatencyHistogram, MetricsRegistry
+from repro.serve import InProcessClient, PlanBatcher, PlanServer, ServeConfig
+from repro.serve.metrics import serve_totals
 
 
 class TestLatencyHistogram:
@@ -41,47 +45,129 @@ class TestLatencyHistogram:
         assert histogram.percentile_s(99) == pytest.approx(1e9)
 
 
+def run(coro):
+    return asyncio.run(coro)
+
+
+def make_server(**overrides):
+    defaults = dict(workers=2, batch_window_s=0.001)
+    defaults.update(overrides)
+    return PlanServer(ServeConfig(**defaults))
+
+
 class TestServeMetrics:
+    """A server's ``stats`` metrics block, read out of its own registry."""
+
     def test_request_and_error_counters(self):
-        metrics = ServeMetrics()
-        metrics.record_request("plan", 0.01)
-        metrics.record_request("plan", 0.02)
-        metrics.record_request("stats", 0.001)
-        metrics.record_error("qos_infeasible")
-        snapshot = metrics.snapshot()
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            await client.request("plan", model="tiny", qos_percent=30)
+            await client.request("stats")
+            with pytest.raises(QoSInfeasibleError):
+                await client.request("plan", model="tiny", qos_ms=0.001)
+            snapshot = server.stats()["metrics"]
+            await server.stop()
+            return snapshot
+
+        snapshot = run(main())
         assert snapshot["requests_total"] == 3
         assert snapshot["requests_by_op"]["plan"] == 2
         assert snapshot["errors_by_kind"]["qos_infeasible"] == 1
         assert snapshot["latency_by_op"]["plan"]["count"] == 2
 
     def test_shed_counters(self):
-        metrics = ServeMetrics()
-        metrics.record_shed("queue_full")
-        metrics.record_shed("queue_full")
-        metrics.record_shed("rate_limited")
-        assert metrics.shed_count == 3
-        assert metrics.snapshot()["sheds_by_reason"]["queue_full"] == 2
+        async def main():
+            server = make_server(max_queue_depth=1)
+            client = InProcessClient(server)
+            server.admission.admit()  # fill the only slot
+            for _ in range(2):
+                with pytest.raises(OverloadedError):
+                    await client.request("plan", model="tiny", qos_percent=30)
+            server.admission.release()
+            server._draining = True
+            await server.handle_line(
+                '{"v":1,"id":"r1","op":"plan",'
+                '"params":{"model":"tiny","qos_percent":30}}'
+            )
+            server._draining = False
+            snapshot = server.stats()["metrics"]
+            await server.stop()
+            return snapshot
+
+        snapshot = run(main())
+        assert snapshot["shed_count"] == 3
+        assert snapshot["sheds_by_reason"]["queue_full"] == 2
 
     def test_queue_depth_peak(self):
-        metrics = ServeMetrics()
-        metrics.record_queue_depth(3)
-        metrics.record_queue_depth(1)
-        snapshot = metrics.snapshot()
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            # Three concurrent misses are admitted before any finishes.
+            await asyncio.gather(
+                *(
+                    client.request("plan", model="tiny", qos_percent=30)
+                    for _ in range(3)
+                )
+            )
+            # One unrecorded slot held open: the warm hit admits at
+            # depth 2 and leaves the gauge at 1 on release.
+            server.admission.admit()
+            await client.request("plan", model="tiny", qos_percent=30)
+            snapshot = server.stats()["metrics"]
+            server.admission.release()
+            await server.stop()
+            return snapshot
+
+        snapshot = run(main())
         assert snapshot["queue_depth"] == 1
         assert snapshot["queue_depth_peak"] == 3
 
     def test_coalesce_ratio(self):
-        metrics = ServeMetrics()
-        metrics.record_batch(8)
-        metrics.record_batch(2)
-        assert metrics.snapshot()["coalesce_ratio"] == pytest.approx(5.0)
+        async def main():
+            registry = MetricsRegistry()
+            batcher = PlanBatcher(registry=registry, window_s=0.01)
+            for size in (8, 2):
+                await asyncio.gather(
+                    *(
+                        batcher.submit(("k",), lambda: "p")
+                        for _ in range(size)
+                    )
+                )
+            batcher.shutdown()
+            return registry
+
+        registry = run(main())
+        assert serve_totals(registry.snapshot())["coalesce_ratio"] == (
+            pytest.approx(5.0)
+        )
 
     def test_telemetry_drift(self):
-        metrics = ServeMetrics()
-        metrics.record_telemetry("tiny", predicted_j=1.0, measured_j=1.1)
-        aggregate = metrics.record_telemetry(
-            "tiny", predicted_j=1.0, measured_j=0.9
-        )
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request(
+                "telemetry",
+                model="tiny",
+                predicted_energy_j=1.0,
+                measured_energy_j=1.1,
+            )
+            aggregate = await client.request(
+                "telemetry",
+                model="tiny",
+                predicted_energy_j=1.0,
+                measured_energy_j=0.9,
+            )
+            snapshot = server.stats()["metrics"]
+            await server.stop()
+            return aggregate, snapshot
+
+        aggregate, snapshot = run(main())
         assert aggregate["samples"] == 2
         assert aggregate["mean_drift"] == pytest.approx(0.0, abs=1e-12)
         assert aggregate["max_abs_drift"] == pytest.approx(0.1)
+        assert snapshot["telemetry"]["tiny"] == {
+            key: aggregate[key]
+            for key in ("samples", "mean_drift", "max_abs_drift")
+        }

@@ -280,10 +280,10 @@ class TestWarmHitPath:
             server = make_server()
             client = InProcessClient(server)
             miss = await client.request("plan", model="tiny", qos_percent=30)
-            batches = server.metrics.batches
+            batches = server.registry.counter_value("serve.batches")
             keys = record_submits(server)
             hit = await client.request("plan", model="tiny", qos_percent=30)
-            after = server.metrics.batches
+            after = server.registry.counter_value("serve.batches")
             in_batch_hit = server.service.plan("tiny", ("percent", 30.0))
             await server.stop()
             return miss, hit, in_batch_hit, keys, batches, after
@@ -543,6 +543,72 @@ class TestOtherEndpoints:
         assert len(health["checks"]) == 3  # the quick selftest subset
 
 
+class TestTelemetryValidation:
+    @staticmethod
+    def _strict(line):
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        return json.loads(line, parse_constant=reject)
+
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            '"predicted_energy_j":1.0,"measured_energy_j":"nan"',
+            '"predicted_energy_j":1.0,"measured_energy_j":NaN',
+            '"predicted_energy_j":1.0,"measured_energy_j":"inf"',
+            '"predicted_energy_j":1.0,"measured_energy_j":Infinity',
+            '"predicted_energy_j":1.0,"measured_energy_j":1e999',
+            '"predicted_energy_j":1.0,"measured_energy_j":-0.5',
+            '"predicted_energy_j":"nan","measured_energy_j":1.0',
+            '"predicted_energy_j":"-inf","measured_energy_j":1.0',
+            '"predicted_energy_j":0,"measured_energy_j":1.0',
+            '"predicted_energy_j":-1.0,"measured_energy_j":1.0',
+        ],
+    )
+    def test_non_finite_or_negative_energy_is_bad_request(self, energies):
+        async def main():
+            server = make_server()
+            rejected = await server.handle_line(
+                '{"v":1,"id":"r1","op":"telemetry",'
+                '"params":{"model":"tiny",' + energies + '}}'
+            )
+            accepted = await server.handle_line(
+                '{"v":1,"id":"r2","op":"telemetry","params":{"model":'
+                '"tiny","predicted_energy_j":1.0,"measured_energy_j":1.1}}'
+            )
+            stats = server.stats()["metrics"]["telemetry"]
+            await server.stop()
+            return rejected, accepted, stats
+
+        rejected, accepted, stats = run(main())
+        response = self._strict(rejected)
+        assert response["error"]["kind"] == "bad_request", response
+        assert "energy_j must be finite" in response["error"]["message"]
+        # The rejected sample left the model's drift aggregate alone.
+        result = self._strict(accepted)["result"]
+        assert result["samples"] == 1
+        assert result["mean_drift"] == pytest.approx(0.1)
+        assert stats["tiny"]["samples"] == 1
+
+    def test_zero_measured_energy_is_a_sample(self):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            result = await client.request(
+                "telemetry",
+                model="tiny",
+                predicted_energy_j=2.0,
+                measured_energy_j=0.0,
+            )
+            await server.stop()
+            return result
+
+        result = run(main())
+        assert result["samples"] == 1
+        assert result["mean_drift"] == pytest.approx(-1.0)
+
+
 class TestOverload:
     def test_burst_sheds_deterministically(self):
         async def burst():
@@ -649,3 +715,63 @@ class TestTCP:
             await server.stop()
 
         run(main())
+
+
+class TestPerServerMetrics:
+    """Each server's ``stats`` counts only its own events; the process
+    registry's view is their sum."""
+
+    def test_two_servers_keep_their_own_counts(self):
+        async def main():
+            a = make_server(max_queue_depth=1)
+            b = make_server()
+            ca, cb = InProcessClient(a), InProcessClient(b)
+            await ca.request("plan", model="tiny", qos_percent=30)
+            a.admission.admit()  # fill the only slot: the next one sheds
+            with pytest.raises(OverloadedError):
+                await ca.request("plan", model="tiny", qos_percent=40)
+            a.admission.release()
+            await cb.request("plan", model="tiny", qos_percent=30)
+            await cb.request("plan", model="tiny", qos_percent=30)
+            await cb.request(
+                "telemetry",
+                model="tiny",
+                predicted_energy_j=1.0,
+                measured_energy_j=1.1,
+            )
+            await b.handle_line("not json")
+            stats = a.stats()["metrics"], b.stats()["metrics"]
+            await a.stop()
+            await b.stop()
+            return stats
+
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            ma, mb = run(main())
+        finally:
+            set_registry(previous)
+        assert ma["requests_by_op"] == {"plan": 1}
+        assert ma["errors_by_kind"] == {"overloaded": 1}
+        assert ma["sheds_by_reason"] == {"queue_full": 1}
+        assert ma["batches"] == ma["batched_requests"] == 1
+        assert mb["requests_by_op"] == {"plan": 2, "telemetry": 1}
+        assert mb["errors_by_kind"] == {"bad_request": 1}
+        assert mb["sheds_by_reason"] == {}
+        assert mb["batches"] == mb["batched_requests"] == 1
+        counters = registry.snapshot()["counters"]
+
+        def summed(block, label):
+            keys = set(ma[block]) | set(mb[block])
+            return {
+                f"{label}={key}": float(
+                    ma[block].get(key, 0) + mb[block].get(key, 0)
+                )
+                for key in keys
+            }
+
+        assert counters["serve.requests"] == summed("requests_by_op", "op")
+        assert counters["serve.errors"] == summed("errors_by_kind", "kind")
+        assert counters["serve.sheds"] == {"reason=queue_full": 1.0}
+        assert counters["serve.batches"] == {"": 2.0}
+        assert counters["serve.batched_requests"] == {"": 2.0}
