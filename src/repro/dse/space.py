@@ -109,6 +109,20 @@ def paper_design_space(
     )
 
 
+def board_design_space(board) -> DesignSpace:
+    """A board's canonical design space: its native grid, else the paper's.
+
+    Boards carrying their own clock tree (``Board.space_factory``)
+    plan over it; every other board uses :func:`paper_design_space`
+    pruned with its power model.  Fleets derive it from a target's
+    *nominal* board, so power-varied devices of one target share one
+    grid (and every cache keyed on it).
+    """
+    if board.space_factory is not None:
+        return board.space_factory(board)
+    return paper_design_space(board.power_model)
+
+
 #: Candidate ladder for the adaptive granularity policy.
 ADAPTIVE_GRANULARITY_LADDER = (2, 4, 8, 12, 16, 24, 32, 48, 64)
 

@@ -37,7 +37,7 @@ from ..errors import PowerModelError, ReproError, SensorReadError
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
-from ..optimize.mckp import MCKPItem, front_classes, reprice_classes
+from ..optimize.mckp import MCKPItem, front_classes
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..power.sensor import INA219Config
 from .pricing import EpochPricer
@@ -728,36 +728,22 @@ def resolve_replan(
     budget: float,
     fixed: float,
 ) -> Optional[DeploymentPlan]:
-    """Re-price cached fronts and re-solve; None if infeasible.
+    """The governor's and the oracle twin's view of the drift re-solve.
 
-    The shared re-solve core of the governor and the scenario
-    engine's clairvoyant oracle twin: re-price the device's cached
-    Pareto fronts for the drifted conditions, solve the MCKP, and
-    fall back to the uniform-frequency ladder when the free re-solve
-    lands on a mixed-frequency schedule whose sequence-dependent
-    relock overhead the knapsack cannot price.  The ladder pays at
-    most one lock and always contains the schedules the refinement
-    loop is hunting for.
+    :meth:`~repro.pipeline.DAEDVFSPipeline.replan` on the device's
+    cached Pareto-front classes, or ``None`` when it raises: a device
+    no plan fits keeps the one it runs.  Kept as a module function
+    because the perf harness's traced mode wraps it as the
+    ``fleet.governor`` layer and counts a ``None`` as
+    ``resolve_failed``.
     """
     try:
-        classes = reprice_classes(
-            base_classes,
-            extra_power_w=extra_w,
-            item_filter=lambda item: (
-                item.payload.hfo.sysclk_hz <= cap_hz
-            ),
+        return pipeline.replan(
+            model, base_classes, budget, fixed,
+            extra_w=extra_w, cap_hz=cap_hz,
         )
     except ReproError:
         return None
-    try:
-        plan = pipeline.replan(model, classes, budget, fixed)
-    except ReproError:
-        plan = None
-    if plan is not None:
-        return plan
-    return pipeline.uniform_plan_from_classes(
-        model, classes, budget, fixed, max_hfo_hz=cap_hz
-    )
 
 
 def supervise_device(

@@ -21,6 +21,10 @@ moves power curves, not cycle counts; see
   charged by the direct path's own ``window``, a replayed report is
   bit-identical to a direct execution on every board and idle policy
   (pinned by test).
+* :class:`BoardPlanningGroup` -- one board target's anchor board,
+  canonical design space and shared state, plus the anchor's pipeline
+  wired into them: the fleet scheduler keeps one per board target, the
+  plan service one per served board.
 * :class:`EpochPricer` -- the **priced window** a governor (or oracle
   twin) prices every epoch from.  A device's plan almost never changes,
   so it caches one entry: the reference window's scalars (energy,
@@ -55,7 +59,7 @@ from ..dse.explorer import (
     StackedComponents,
     TimeComponents,
 )
-from ..dse.space import DesignSpace
+from ..dse.space import DesignSpace, board_design_space
 from ..engine.cost import TraceBuilder, TraceParams, model_fingerprint
 from ..engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
 from ..engine.schedule import DeploymentPlan, LayerPlan
@@ -63,6 +67,7 @@ from ..errors import TraceError
 from ..mcu.board import Board
 from ..nn.graph import Model, Node
 from ..obs.registry import get_registry
+from ..pipeline import DAEDVFSPipeline
 from ..power.energy import EnergyAccount
 from ..power.model import PowerState
 
@@ -424,6 +429,49 @@ class ReplayingRuntime(DVFSRuntime):
         if idle_policy is None:
             idle_policy = IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
         return self.window(repriced, qos_s, idle_policy)
+
+
+class BoardPlanningGroup:
+    """One board target's warm planning state.
+
+    The fleet scheduler keeps one per board target of a heterogeneous
+    fleet and the plan service one per served board.  Power-varied
+    devices of one target share everything timing-side through the
+    group's :class:`FleetSharedState` and plan over one canonical
+    design space, derived from the anchor (nominal) board -- deriving
+    it per device would fragment every shared cache.
+
+    Attributes:
+        board: the target's anchor board.
+        space: the anchor's canonical design space.
+        shared: the target's fleet-shared pricing state.
+        pipeline: the anchor's pipeline, pricing through ``shared``.
+    """
+
+    def __init__(
+        self,
+        board: Board,
+        trace_params: Optional[TraceParams] = None,
+        solver: str = "dp",
+    ):
+        self.board = board
+        self.space = board_design_space(board)
+        self.shared = FleetSharedState(board, trace_params)
+        self._trace_params = trace_params
+        self._solver = solver
+        self.pipeline = self.pipeline_on(board)
+
+    def pipeline_on(self, board: Board) -> DAEDVFSPipeline:
+        """A new pipeline for ``board`` -- the anchor or a power-varied
+        device of the target -- pricing through the group's state."""
+        return DAEDVFSPipeline(
+            board=board,
+            space=self.space,
+            trace_params=self._trace_params,
+            solver=self._solver,
+            explorer=SharedComponentExplorer(board, self.space, self.shared),
+            runtime=ReplayingRuntime(board, self.shared, self._trace_params),
+        )
 
 
 def clamp_plan_to_cap(

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dse.space import DesignSpace, paper_design_space
+from ..dse.space import DesignSpace
 from ..engine.cost import TraceParams
 from ..engine.runtime import InferenceReport
 from ..errors import (
@@ -44,11 +44,7 @@ from ..obs.series import SeriesStore
 from ..obs.tracing import span, wrap
 from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
-from .pricing import (
-    FleetSharedState,
-    ReplayingRuntime,
-    SharedComponentExplorer,
-)
+from .pricing import BoardPlanningGroup
 from .variation import DeviceProfile
 
 #: Failures worth retrying: the transient hardware faults.  Everything
@@ -61,24 +57,6 @@ TRANSIENT_ERRORS = (
     SensorReadError,
     FaultInjectionError,
 )
-
-
-@dataclass
-class _BoardGroup:
-    """Per-board-target pricing state of a heterogeneous fleet.
-
-    Attributes:
-        board: the target's nominal (unperturbed) anchor board.
-        space: the target's canonical design space.
-        shared: the target's fleet-shared pricing state.
-        nominal: pipeline on the anchor board; new device pipelines of
-            this target warm-start their timing-only caches from it.
-    """
-
-    board: Board
-    space: DesignSpace
-    shared: FleetSharedState
-    nominal: Optional[DAEDVFSPipeline] = None
 
 
 @dataclass
@@ -179,57 +157,35 @@ class FleetScheduler:
         self._quarantine_lock = threading.Lock()
         # Heterogeneous fleets carry several board targets; pricing
         # state only shares across devices of the *same* target, so
-        # each board name gets its own group: a nominal anchor board,
-        # the board's canonical design space, the shared pricing state
-        # and the nominal pipeline new device pipelines warm-start
-        # from.  The base board's group is the historical scheduler
-        # state, and ``space`` / ``shared`` keep aliasing it.
-        base_group = _BoardGroup(
-            board=self.base_board,
-            space=self._space_for(self.base_board),
-            shared=FleetSharedState(self.base_board, trace_params),
+        # each board name gets its own planning group, whose anchor
+        # pipeline new device pipelines warm-start from.  The base
+        # board's group is the historical scheduler state, and
+        # ``space`` / ``shared`` keep aliasing it.
+        base_group = BoardPlanningGroup(
+            self.base_board, trace_params, solver
         )
-        base_group.nominal = self._build_pipeline(self.base_board, base_group)
         self.space: DesignSpace = base_group.space
         self.shared = base_group.shared
-        self._nominal = base_group.nominal
-        self._groups: Dict[str, _BoardGroup] = {
+        self._groups: Dict[str, BoardPlanningGroup] = {
             self.base_board.name: base_group
         }
         self._groups_lock = threading.Lock()
         self._pipelines: Dict[Tuple, DAEDVFSPipeline] = {
-            self.base_board.fingerprint(): self._nominal
+            self.base_board.fingerprint(): base_group.pipeline
         }
         self._pipelines_lock = threading.Lock()
 
     # -- pipeline wiring ---------------------------------------------------------
 
-    @staticmethod
-    def _space_for(board: Board) -> DesignSpace:
-        """One canonical design space per board target.
-
-        The space prunes iso-frequency configs with the *nominal*
-        power model; deriving it per perturbed device would fragment
-        every shared cache (and real deployments ship one frequency
-        grid per SKU, not one per unit).
-        """
-        if board.space_factory is not None:
-            return board.space_factory(board)
-        return paper_design_space(board.power_model)
-
-    def _group_for(self, board: Board) -> "_BoardGroup":
-        """The pricing group of a device's board target (by name)."""
+    def _group_for(self, board: Board) -> BoardPlanningGroup:
+        """The planning group of a device's board target (by name)."""
         with self._groups_lock:
             group = self._groups.get(board.name)
         if group is not None:
             return group
-        nominal_board = self._nominal_board_for(board)
-        group = _BoardGroup(
-            board=nominal_board,
-            space=self._space_for(nominal_board),
-            shared=FleetSharedState(nominal_board, self.trace_params),
+        group = BoardPlanningGroup(
+            self._nominal_board_for(board), self.trace_params, self.solver
         )
-        group.nominal = self._build_pipeline(nominal_board, group)
         with self._groups_lock:
             return self._groups.setdefault(board.name, group)
 
@@ -249,27 +205,6 @@ class FleetScheduler:
         except BoardError:
             return board
 
-    def _build_pipeline(
-        self, board: Board, group: "_BoardGroup"
-    ) -> DAEDVFSPipeline:
-        if not self.share:
-            return DAEDVFSPipeline(
-                board=board,
-                space=group.space,
-                trace_params=self.trace_params,
-                solver=self.solver,
-            )
-        explorer = SharedComponentExplorer(board, group.space, group.shared)
-        runtime = ReplayingRuntime(board, group.shared, self.trace_params)
-        return DAEDVFSPipeline(
-            board=board,
-            space=group.space,
-            trace_params=self.trace_params,
-            solver=self.solver,
-            explorer=explorer,
-            runtime=runtime,
-        )
-
     def pipeline_for(self, profile: DeviceProfile) -> DAEDVFSPipeline:
         """The device's pipeline (shared across equal-fingerprint boards).
 
@@ -279,8 +214,11 @@ class FleetScheduler:
         timing-side through their group's fleet state.
         """
         if not self.share:
-            return self._build_pipeline(
-                profile.board, self._group_for(profile.board)
+            return DAEDVFSPipeline(
+                board=profile.board,
+                space=self._group_for(profile.board).space,
+                trace_params=self.trace_params,
+                solver=self.solver,
             )
         key = profile.board.fingerprint()
         with self._pipelines_lock:
@@ -288,8 +226,8 @@ class FleetScheduler:
         if pipeline is not None:
             return pipeline
         group = self._group_for(profile.board)
-        pipeline = self._build_pipeline(profile.board, group)
-        pipeline.warm_start_from(group.nominal, self.model)
+        pipeline = group.pipeline_on(profile.board)
+        pipeline.warm_start_from(group.pipeline, self.model)
         with self._pipelines_lock:
             return self._pipelines.setdefault(key, pipeline)
 

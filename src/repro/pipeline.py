@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .dse.explorer import DSEExplorer, SolutionPoint
 from .dse.pareto import pareto_front
-from .dse.space import DesignSpace, paper_design_space
+from .dse.space import DesignSpace, board_design_space
 from .engine.cost import TraceParams, model_fingerprint
 from .engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
 from .engine.schedule import DeploymentPlan, LayerPlan
@@ -35,15 +35,26 @@ from .engine.tinyengine import TinyEngine
 from .errors import QoSInfeasibleError, SolverError
 from .mcu.board import Board, make_nucleo_f767zi
 from .nn.graph import Model
+from .obs.audit import get_audit_log
 from .obs.registry import get_registry
 from .obs.tracing import span
 from .optimize.greedy import solve_mckp_greedy
-from .optimize.mckp import MCKPItem, front_classes, solve_mckp_dp
+from .optimize.mckp import (
+    MCKPItem,
+    front_classes,
+    min_total_weight,
+    reprice_classes,
+    solve_mckp_dp,
+)
 from .optimize.qos import QoSLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
     from .optimize.harmonize import HarmonizationResult
     from .profiling.profiler import LayerProfiler
+
+#: Extra solve rounds the switching-overhead refinement loop may spend
+#: before the free (mixed-frequency) schedule is abandoned.
+MAX_REFINEMENTS = 3
 
 
 def _cache_event(cache: str, event: str) -> None:
@@ -94,8 +105,6 @@ class DAEDVFSPipeline:
         solver: "dp" (the paper's pseudo-polynomial exact solver) or
             "greedy" (the ablation baseline).
         dp_resolution: time-grid steps of the DP solver.
-        max_refinements: extra solve rounds allowed for the
-            switching-overhead refinement loop.
         profiler: when given, Step 2 consumes *measured* per-layer
             records (through the simulated timer + INA219 chain, as
             the paper's hardware campaign does) instead of analytic
@@ -124,7 +133,6 @@ class DAEDVFSPipeline:
         trace_params: Optional[TraceParams] = None,
         solver: str = "dp",
         dp_resolution: int = 4000,
-        max_refinements: int = 3,
         profiler: Optional["LayerProfiler"] = None,
         granularity_fn=None,
         tracer=None,
@@ -133,21 +141,13 @@ class DAEDVFSPipeline:
     ):
         if solver not in ("dp", "greedy"):
             raise SolverError(f"unknown solver {solver!r}")
-        if max_refinements < 0:
-            raise SolverError("max_refinements must be >= 0")
         self.board = board or make_nucleo_f767zi()
-        if space is None:
-            # Boards carrying their own design space (non-F7 clock
-            # trees) plan over it; everything else uses the paper grid.
-            if self.board.space_factory is not None:
-                space = self.board.space_factory(self.board)
-            else:
-                space = paper_design_space(self.board.power_model)
-        self.space = space
+        self.space = (
+            space if space is not None else board_design_space(self.board)
+        )
         self.trace_params = trace_params
         self.solver = solver
         self.dp_resolution = dp_resolution
-        self.max_refinements = max_refinements
         self.profiler = profiler
         self.explorer = explorer or DSEExplorer(
             self.board, self.space, trace_params,
@@ -244,35 +244,58 @@ class DAEDVFSPipeline:
         classes,
         budget: float,
         fixed_overhead_s: float,
-    ) -> Optional[DeploymentPlan]:
-        """Re-solve the MCKP over pre-priced classes -- no exploration.
+        *,
+        extra_w: float = 0.0,
+        cap_hz: float = float("inf"),
+    ) -> DeploymentPlan:
+        """The drift re-solve: re-price cached fronts and solve again.
 
-        The fleet governor's drift response: when a device's operating
-        conditions move (thermal leakage ramp, battery-sag frequency
-        caps), it re-prices the *cached* Pareto-front items (see
-        :func:`repro.optimize.mckp.reprice_classes`) and calls this to
-        get a fresh plan.  Runs the same solve/measure/tighten
-        refinement as :meth:`optimize` but skips Step 2 entirely.
-
-        Returns:
-            The refined plan, or ``None`` when no schedule over the
-            given classes can converge under the budget.
+        The one answer to "the device's power curves moved" (paper
+        Step 3 on re-priced fronts), shared by the fleet governor, its
+        oracle twin and the serve ``reprice`` endpoint.  ``classes``
+        are the plan's cached Pareto-front classes; ``extra_w`` is a
+        thermal leakage excess added to every item and ``cap_hz`` a
+        battery-sag frequency cap (items above it are dropped, see
+        :func:`repro.optimize.mckp.reprice_classes`).  The free
+        re-solve runs the same solve/measure/tighten refinement as
+        :meth:`optimize` but skips Step 2; when it cannot converge the
+        sequence-dependent relock overhead, the uniform-frequency
+        ladder (:meth:`uniform_plan_from_classes`) answers instead.
 
         Raises:
-            QoSInfeasibleError: when the budget cannot even cover the
-                fixed overhead.
+            SolverError: a negative ``extra_w``.
+            QoSInfeasibleError: the cap empties a layer, or no plan
+                meets the budget (``min_latency_s`` is the re-priced
+                classes' tightest total plus the fixed overhead).
         """
-        conv_budget = budget - fixed_overhead_s
-        if conv_budget <= 0:
-            min_conv = sum(
-                min(item.weight for item in cls) for cls in classes
-            )
-            raise QoSInfeasibleError(
-                qos_s=budget, min_latency_s=min_conv + fixed_overhead_s
-            )
-        return self._refine_free_plan(
-            model, classes, conv_budget, budget, fixed_overhead_s
+        repriced = reprice_classes(
+            classes,
+            extra_power_w=extra_w,
+            item_filter=lambda item: item.payload.hfo.sysclk_hz <= cap_hz,
         )
+        conv_budget = budget - fixed_overhead_s
+        plan = None
+        if conv_budget > 0:
+            plan = self._refine_free_plan(
+                model, repriced, conv_budget, budget, fixed_overhead_s
+            )
+            if plan is None:
+                get_audit_log().record(
+                    "pipeline.replan",
+                    "uniform_fallback",
+                    model=model.name,
+                    qos_s=budget,
+                )
+                plan = self.uniform_plan_from_classes(
+                    model, repriced, budget, fixed_overhead_s,
+                    max_hfo_hz=cap_hz,
+                )
+        if plan is None:
+            raise QoSInfeasibleError(
+                qos_s=budget,
+                min_latency_s=min_total_weight(repriced) + fixed_overhead_s,
+            )
+        return plan
 
     def uniform_plan_from_classes(
         self,
@@ -290,8 +313,7 @@ class DAEDVFSPipeline:
         prices hold without refinement.  Candidates are ranked by the
         (possibly drift-repriced) item values, so the winner is
         optimal for the *current* operating point among uniform
-        schedules.  Used by the fleet governor's drift response and
-        the serve layer's ``reprice`` endpoint.
+        schedules.
 
         Returns:
             The cheapest uniform schedule meeting the budget at an
@@ -601,11 +623,11 @@ class DAEDVFSPipeline:
         knapsack budget is strictly monotonically decreasing across
         rounds: two rounds observing similar unpriced overhead still
         make at least two grid steps of progress each instead of
-        re-solving a near-identical instance until ``max_refinements``
-        is burned.
+        re-solving a near-identical instance until
+        :data:`MAX_REFINEMENTS` is burned.
         """
         effective_budget = conv_budget * 0.999
-        for round_index in range(self.max_refinements + 1):
+        for round_index in range(MAX_REFINEMENTS + 1):
             with span("pipeline.solve", round=round_index) as sp:
                 try:
                     solution = self._solve_classes(

@@ -402,6 +402,21 @@ class PlanServer(JsonLinesListener):
             raise ProtocolError(
                 f"drift parameters must be numeric: {err}"
             ) from err
+        # A non-finite excess would be echoed as NaN/Infinity on the
+        # wire; a NaN or non-positive cap would empty every layer and
+        # surface as a misleading QoS-infeasible answer.  A negative
+        # excess stays a solver-level error.
+        if not math.isfinite(extra_power_w):
+            raise ProtocolError(
+                "extra_power_w must be finite, "
+                f"got {params.get('extra_power_w')!r}"
+            )
+        if max_hfo_mhz is not None and not (
+            math.isfinite(max_hfo_mhz) and max_hfo_mhz > 0
+        ):
+            raise ProtocolError(
+                f"max_hfo_mhz must be finite and > 0, got {cap!r}"
+            )
         return (
             (
                 "reprice", model_name, qos_key, board,

@@ -1,16 +1,14 @@
 """The synchronous planning backend behind the serve endpoints.
 
-One :class:`PlanService` owns a warm :class:`DAEDVFSPipeline` wired
-into a fleet-shared pricing state
-(:class:`~repro.fleet.pricing.FleetSharedState` +
-:class:`~repro.fleet.pricing.SharedComponentExplorer` +
-:class:`~repro.fleet.pricing.ReplayingRuntime`), the bounded LRU
-:class:`~repro.serve.cache.PlanCache`, and a small store of the most
-recent optimization results -- keyed, like the plan cache, by the full
-(model, board, space, QoS) identity -- so the ``reprice`` endpoint can
-re-solve the MCKP from *cached* Pareto fronts
-(:func:`repro.optimize.mckp.reprice_classes`) without ever
-re-exploring the design space.
+One :class:`PlanService` owns a warm
+:class:`~repro.fleet.pricing.BoardPlanningGroup` per served board (a
+:class:`DAEDVFSPipeline` wired into a fleet-shared pricing state), the
+bounded LRU :class:`~repro.serve.cache.PlanCache`, and a small store
+of the most recent optimization results -- keyed, like the plan cache,
+by the full (model, board, space, QoS) identity -- so the ``reprice``
+endpoint can run the governor's drift re-solve
+(:meth:`DAEDVFSPipeline.replan`) from *cached* Pareto fronts without
+ever re-exploring the design space.
 
 Everything here is blocking and thread-safe; the asyncio layer
 (:mod:`repro.serve.batcher`, :mod:`repro.serve.server`) drives it from
@@ -24,25 +22,19 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..dse.space import paper_design_space
 from ..engine.cost import model_fingerprint
 from ..engine.serialize import plan_to_dict
-from ..errors import ProtocolError, QoSInfeasibleError
-from ..fleet.pricing import (
-    FleetSharedState,
-    ReplayingRuntime,
-    SharedComponentExplorer,
-)
+from ..errors import ProtocolError
+from ..fleet.pricing import BoardPlanningGroup, FleetSharedState
 from ..mcu.board import Board, make_nucleo_f767zi
 from ..nn import PAPER_MODELS, build_tiny_test_model
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..obs.tracing import span
-from ..optimize.mckp import front_classes, reprice_classes
+from ..optimize.mckp import front_classes
 from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..units import MHZ
@@ -55,15 +47,6 @@ MODEL_REGISTRY: Dict[str, Callable[[], Model]] = {
     **PAPER_MODELS,
     "tiny": build_tiny_test_model,
 }
-
-
-@dataclass
-class _BoardState:
-    """One board's warm planning trio inside a :class:`PlanService`."""
-
-    board: Board
-    shared: FleetSharedState
-    pipeline: DAEDVFSPipeline
 
 
 def board_from_params(params: Dict[str, Any]) -> Optional[str]:
@@ -140,14 +123,12 @@ class PlanService:
         self.cache_enabled = cache_enabled
         self.shared_cache = shared_cache
         self.solver = solver
-        self.board = board_factory()
-        self.shared = FleetSharedState(self.board)
-        self.pipeline = self._build_pipeline(self.board, shared=True)
-        # Lazily-built per-board planning states for requests that
-        # select a registry target (``params["board"]``).  The default
-        # (no board param) keeps using the attributes above.
-        self._board_states: Dict[str, "_BoardState"] = {}
-        self._board_states_lock = threading.Lock()
+        self._group = BoardPlanningGroup(board_factory(), solver=solver)
+        # Lazily-built planning groups for requests that select a
+        # registry target (``params["board"]``).  The default (no
+        # board param) keeps using ``_group``.
+        self._board_groups: Dict[str, BoardPlanningGroup] = {}
+        self._board_groups_lock = threading.Lock()
         self._models: Dict[str, Model] = {}
         self._models_lock = threading.Lock()
         # (model_key, qos_key) -> OptimizationResult, most recent last.
@@ -161,62 +142,38 @@ class PlanService:
 
     # -- wiring ------------------------------------------------------------------
 
-    @staticmethod
-    def _space_for(board: Board):
-        """The board's canonical design space (native grid or paper's)."""
-        if board.space_factory is not None:
-            return board.space_factory(board)
-        return paper_design_space(board.power_model)
+    @property
+    def board(self) -> Board:
+        """The default board."""
+        return self._group.board
 
-    def _build_pipeline(
-        self,
-        board: Board,
-        shared: bool,
-        shared_state: Optional[FleetSharedState] = None,
-    ) -> DAEDVFSPipeline:
-        if not shared:
-            return DAEDVFSPipeline(
-                board=board,
-                solver=self.solver,
-            )
-        state = shared_state if shared_state is not None else self.shared
-        space = self._space_for(board)
-        explorer = SharedComponentExplorer(board, space, state)
-        runtime = ReplayingRuntime(board, state)
-        return DAEDVFSPipeline(
-            board=board,
-            space=space,
-            solver=self.solver,
-            explorer=explorer,
-            runtime=runtime,
-        )
+    @property
+    def shared(self) -> FleetSharedState:
+        """The default board's fleet-shared pricing state."""
+        return self._group.shared
 
-    def _state_for(self, board_name: Optional[str]) -> "_BoardState":
-        """The planning state serving one board selector.
+    @property
+    def pipeline(self) -> DAEDVFSPipeline:
+        """The default board's warm pipeline."""
+        return self._group.pipeline
+
+    def _group_for(self, board_name: Optional[str]) -> BoardPlanningGroup:
+        """The planning group serving one board selector.
 
         ``None`` aliases the service's default board; named boards
-        each get their own warm pipeline + fleet-shared pricing state,
-        built once on first request.
+        each get their own group, built once on first request.
         """
         if board_name is None:
-            return _BoardState(
-                board=self.board, shared=self.shared, pipeline=self.pipeline
-            )
-        with self._board_states_lock:
-            state = self._board_states.get(board_name)
-        if state is not None:
-            return state
+            return self._group
+        with self._board_groups_lock:
+            group = self._board_groups.get(board_name)
+        if group is not None:
+            return group
         from ..boards.registry import build_board
 
-        board = build_board(board_name)
-        shared = FleetSharedState(board)
-        state = _BoardState(
-            board=board,
-            shared=shared,
-            pipeline=self._build_pipeline(board, shared=True, shared_state=shared),
-        )
-        with self._board_states_lock:
-            return self._board_states.setdefault(board_name, state)
+        group = BoardPlanningGroup(build_board(board_name), solver=self.solver)
+        with self._board_groups_lock:
+            return self._board_groups.setdefault(board_name, group)
 
     def resolve_model(self, name: Any) -> Model:
         """The shared model instance for a wire name.
@@ -266,11 +223,11 @@ class PlanService:
         shared tier, so the same (model, QoS) planned for two boards
         can never share an entry.
         """
-        state = self._state_for(board_name)
+        group = self._group_for(board_name)
         return plan_cache_key(
             model_fingerprint(model),
-            state.board.fingerprint(),
-            state.pipeline.space.fingerprint(),
+            group.board.fingerprint(),
+            group.space.fingerprint(),
             qos_key,
         )
 
@@ -314,9 +271,7 @@ class PlanService:
         request planned for the new one -- they simply age out.
         """
         self.board_factory = board_factory
-        self.board = board_factory()
-        self.shared = FleetSharedState(self.board)
-        self.pipeline = self._build_pipeline(self.board, shared=True)
+        self._group = BoardPlanningGroup(board_factory(), solver=self.solver)
 
     def _store_fronts(
         self,
@@ -343,7 +298,7 @@ class PlanService:
         board_name: Optional[str] = None,
     ) -> Tuple[Model, OptimizationResult]:
         model = self.resolve_model(model_name)
-        pipeline = self._state_for(board_name).pipeline
+        pipeline = self._group_for(board_name).pipeline
         result = pipeline.optimize(model, **self._qos_args(qos_key))
         self._store_fronts(model, qos_key, result, board_name)
         return model, result
@@ -380,7 +335,7 @@ class PlanService:
         # builds a model, and the event loop must not wait on that.
         model = self._models.get(model_name)
         if model is None or (
-            board_name is not None and board_name not in self._board_states
+            board_name is not None and board_name not in self._board_groups
         ):
             return None
         key = self.cache_key(model, qos_key, board_name)
@@ -461,7 +416,7 @@ class PlanService:
             from ..boards.registry import build_board
 
             board = build_board(board_name)
-        pipeline = self._build_pipeline(board, shared=False)
+        pipeline = DAEDVFSPipeline(board=board, solver=self.solver)
         result = pipeline.optimize(model, **self._qos_args(qos_key))
         payload = self._payload(model_name, qos_key, result, board_name)
         return {**payload, "cached": False}
@@ -476,16 +431,19 @@ class PlanService:
         max_hfo_mhz: Optional[float] = None,
         board_name: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Re-solve the MCKP over cached fronts for drifted conditions.
+        """The governor's drift re-solve, served.
 
         ``extra_power_w`` models a thermal leakage ramp (constant
         power offset on every item); ``max_hfo_mhz`` a battery-sag
         frequency cap (items above it become infeasible).  The Pareto
         fronts come from the stored optimization result -- warmed by a
         prior ``plan`` call or computed once here -- so repricing
-        never re-explores the design space.
+        never re-explores the design space; the re-solve itself is
+        :meth:`DAEDVFSPipeline.replan`, so the answer equals the fleet
+        governor's for the same inputs.
 
         Raises:
+            SolverError: a negative ``extra_power_w``.
             QoSInfeasibleError: no schedule over the repriced classes
                 meets the stored budget.
         """
@@ -502,49 +460,18 @@ class PlanService:
         )
         if result is None:
             _, result = self._optimize(model_name, qos_key, board_name)
-        pipeline = self._state_for(board_name).pipeline
-        classes = front_classes(result.pareto_fronts)
-        item_filter = None
-        if max_hfo_mhz is not None:
-            cap_hz = max_hfo_mhz * MHZ
-            item_filter = (
-                lambda item: item.payload.hfo.sysclk_hz <= cap_hz
-            )
-        classes = reprice_classes(
-            classes, extra_power_w=extra_power_w, item_filter=item_filter
-        )
-        with span("serve.reprice", model=model_name) as sp:
+        pipeline = self._group_for(board_name).pipeline
+        with span("serve.reprice", model=model_name):
             plan = pipeline.replan(
-                model, classes, result.qos_s, result.fixed_overhead_s
-            )
-            sp.set(fallback=plan is None)
-        if plan is None:
-            # Free re-solve could not converge the sequence-dependent
-            # relock overhead; uniform single-HFO schedules never pay
-            # it (same fallback the fleet governor uses).
-            get_audit_log().record(
-                "serve.reprice",
-                "uniform_fallback",
-                model=model_name,
-                qos_s=result.qos_s,
-            )
-            plan = pipeline.uniform_plan_from_classes(
                 model,
-                classes,
+                front_classes(result.pareto_fronts),
                 result.qos_s,
                 result.fixed_overhead_s,
-                max_hfo_hz=(
-                    max_hfo_mhz * MHZ if max_hfo_mhz is not None
-                    else float("inf")
+                extra_w=extra_power_w,
+                cap_hz=(
+                    float("inf") if max_hfo_mhz is None
+                    else max_hfo_mhz * MHZ
                 ),
-            )
-        if plan is None:
-            min_conv = sum(
-                min(item.weight for item in cls) for cls in classes
-            )
-            raise QoSInfeasibleError(
-                qos_s=result.qos_s,
-                min_latency_s=min_conv + result.fixed_overhead_s,
             )
         repriced = OptimizationResult(
             plan=plan,

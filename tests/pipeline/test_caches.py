@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import DAEDVFSPipeline
+from repro.pipeline import MAX_REFINEMENTS
 from repro.dse.explorer import SolutionPoint
 from repro.nn import LayerKind
 from repro.optimize import MODERATE, RELAXED, MCKPItem
@@ -99,7 +100,7 @@ class TestRefinementBudgetMonotonicity:
     1.05 - ...`` from scratch every round, so when the runtime's
     unpriced overhead grows with the schedule (switch-dominated
     models), consecutive rounds solved near-identical knapsacks until
-    ``max_refinements`` was exhausted and the free plan was abandoned.
+    ``MAX_REFINEMENTS`` was exhausted and the free plan was abandoned.
     """
 
     def synthetic_classes(self, pipeline):
@@ -151,7 +152,7 @@ class TestRefinementBudgetMonotonicity:
         return budgets
 
     def test_converges_on_growing_overhead(self, board, tiny_model):
-        pipeline = DAEDVFSPipeline(board=board, max_refinements=3)
+        pipeline = DAEDVFSPipeline(board=board)
         classes = self.synthetic_classes(pipeline)
         state = self.install_growing_overhead(pipeline)
         budgets = self.recording_solver(pipeline)
@@ -159,13 +160,13 @@ class TestRefinementBudgetMonotonicity:
             tiny_model, classes, conv_budget=1.0, budget=1.0, fixed=0.0
         )
         # The old per-round recompute stalls here (returns None after
-        # exhausting max_refinements); compounding converges.
+        # exhausting MAX_REFINEMENTS); compounding converges.
         assert plan is not None
-        assert state["round"] <= pipeline.max_refinements + 1
+        assert state["round"] <= MAX_REFINEMENTS + 1
         assert plan.predicted_latency_s <= 1.0
 
     def test_effective_budget_strictly_decreasing(self, board, tiny_model):
-        pipeline = DAEDVFSPipeline(board=board, max_refinements=3)
+        pipeline = DAEDVFSPipeline(board=board)
         classes = self.synthetic_classes(pipeline)
         self.install_growing_overhead(pipeline)
         budgets = self.recording_solver(pipeline)
@@ -182,7 +183,7 @@ class TestRefinementBudgetMonotonicity:
         """Sanity: the common constant-overhead case is untouched --
         round two's budget equals the original formula's, so existing
         behavior (converge on the second solve) is preserved."""
-        pipeline = DAEDVFSPipeline(board=board, max_refinements=3)
+        pipeline = DAEDVFSPipeline(board=board)
         classes = self.synthetic_classes(pipeline)
 
         def fake_run(model, plan, **kwargs):

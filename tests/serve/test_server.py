@@ -609,6 +609,54 @@ class TestTelemetryValidation:
         assert result["mean_drift"] == pytest.approx(-1.0)
 
 
+class TestRepriceValidation:
+    @staticmethod
+    def _reprice(drift):
+        async def main():
+            server = make_server()
+            line = await server.handle_line(
+                '{"v":1,"id":"r1","op":"reprice",'
+                '"params":{"model":"tiny","qos_percent":30,' + drift + '}}'
+            )
+            await server.stop()
+            return line
+
+        return TestTelemetryValidation._strict(run(main()))
+
+    @pytest.mark.parametrize(
+        "drift,message",
+        [
+            ('"extra_power_w":"nan"', "extra_power_w must be finite"),
+            ('"extra_power_w":NaN', "extra_power_w must be finite"),
+            ('"extra_power_w":"inf"', "extra_power_w must be finite"),
+            ('"extra_power_w":-Infinity', "extra_power_w must be finite"),
+            ('"extra_power_w":1e999', "extra_power_w must be finite"),
+            ('"max_hfo_mhz":"nan"', "max_hfo_mhz must be finite and > 0"),
+            ('"max_hfo_mhz":Infinity', "max_hfo_mhz must be finite and > 0"),
+            ('"max_hfo_mhz":0', "max_hfo_mhz must be finite and > 0"),
+            ('"max_hfo_mhz":-5', "max_hfo_mhz must be finite and > 0"),
+        ],
+    )
+    def test_non_finite_drift_is_bad_request(self, drift, message):
+        response = self._reprice(drift)
+        assert not response["ok"]
+        assert response["error"]["kind"] == "bad_request", response
+        assert message in response["error"]["message"]
+
+    def test_negative_excess_stays_a_solver_error(self):
+        response = self._reprice('"extra_power_w":-0.001')
+        assert response["error"]["kind"] == "solver", response
+
+    def test_finite_drift_is_answered(self):
+        response = self._reprice(
+            '"extra_power_w":0.002,"max_hfo_mhz":216'
+        )
+        assert response["ok"], response
+        assert response["result"]["drift"] == {
+            "extra_power_w": 0.002, "max_hfo_mhz": 216.0,
+        }
+
+
 class TestOverload:
     def test_burst_sheds_deterministically(self):
         async def burst():
