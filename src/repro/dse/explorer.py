@@ -46,7 +46,7 @@ from ..engine.trace import LayerTrace, SegmentKind
 from ..errors import DesignSpaceError
 from ..mcu.board import Board
 from ..mcu.core import SegmentWorkload
-from ..nn.graph import Model, Node
+from ..nn.graph import CONV_KINDS, Model, Node
 from ..nn.layers.base import LayerKind
 from ..obs.tracing import span
 from ..power.energy import EnergyAccount, EnergyCategory
@@ -174,6 +174,10 @@ class LayerCostModel:
 
     def __init__(self, board: Board):
         self.board = board
+        # These stay lock-free dicts, not repro.memo memos: they hold
+        # per-explorer numpy constants, so a duplicate build under
+        # threads moves no count, and a lock on each of their ~1,800
+        # reads per cold plan would cost more than that rare build.
         #: Per-HFO-tuple frequency/power vectors, built once per sweep.
         self._power_cache: Dict[Tuple[ClockConfig, ...], Dict[str, np.ndarray]] = {}
         #: Per-LFO scalar powers (compute, memory, switching) -- three
@@ -202,6 +206,20 @@ class LayerCostModel:
         # setdefault so concurrent builders converge on one canonical
         # entry instead of racing get/set.
         return self._power_cache.setdefault(hfos, vectors)
+
+    def _lfo_powers(self, lfo: ClockConfig) -> Tuple[float, float, float]:
+        lfo_powers = self._lfo_power_cache.get(lfo)
+        if lfo_powers is None:
+            power = self.board.power_model
+            lfo_powers = self._lfo_power_cache.setdefault(
+                lfo,
+                (
+                    power.power(lfo, PowerState.ACTIVE_COMPUTE),
+                    power.power(lfo, PowerState.ACTIVE_MEMORY),
+                    power.switching_power(lfo),
+                ),
+            )
+        return lfo_powers
 
     def _segment_time_parts_vec(
         self, workload: SegmentWorkload, f_vec: np.ndarray
@@ -324,17 +342,8 @@ class LayerCostModel:
         energy_j) vectors under this cost model's power constants.
         """
         hfos = tuple(hfos)
-        power = self.board.power_model
         vectors = self._power_vectors(hfos)
-        lfo_powers = self._lfo_power_cache.get(lfo)
-        if lfo_powers is None:
-            lfo_powers = (
-                power.power(lfo, PowerState.ACTIVE_COMPUTE),
-                power.power(lfo, PowerState.ACTIVE_MEMORY),
-                power.switching_power(lfo),
-            )
-            lfo_powers = self._lfo_power_cache.setdefault(lfo, lfo_powers)
-        p_compute_lfo, p_memory_lfo, p_switch_lfo = lfo_powers
+        p_compute_lfo, p_memory_lfo, p_switch_lfo = self._lfo_powers(lfo)
         latency = np.full(
             len(hfos), components.comp_lfo + components.mem_lfo
         )
@@ -365,17 +374,8 @@ class LayerCostModel:
         ``stacked``'s ``i``-th decomposition on its own.
         """
         hfos = tuple(hfos)
-        power = self.board.power_model
         vectors = self._power_vectors(hfos)
-        lfo_powers = self._lfo_power_cache.get(lfo)
-        if lfo_powers is None:
-            lfo_powers = (
-                power.power(lfo, PowerState.ACTIVE_COMPUTE),
-                power.power(lfo, PowerState.ACTIVE_MEMORY),
-                power.switching_power(lfo),
-            )
-            lfo_powers = self._lfo_power_cache.setdefault(lfo, lfo_powers)
-        p_compute_lfo, p_memory_lfo, p_switch_lfo = lfo_powers
+        p_compute_lfo, p_memory_lfo, p_switch_lfo = self._lfo_powers(lfo)
         latency = (stacked.comp_lfo + stacked.mem_lfo)[:, None] + (
             stacked.comp_hfo + stacked.mem_hfo
         )
@@ -610,72 +610,73 @@ class DSEExplorer:
 
         Raises:
             DesignSpaceError: if the node is not schedulable (no
-                arithmetic to scale).
+                arithmetic to scale), or ``granularity_fn`` omits 0.
         """
-        if node.layer.kind not in {
-            LayerKind.CONV2D,
-            LayerKind.DEPTHWISE_CONV,
-            LayerKind.POINTWISE_CONV,
-            LayerKind.DENSE,
-        }:
+        granularities = self._sweep(model, node)
+        hfos = self.space.hfo_configs
+        if granularities is None:
+            # NPU-mapped layer: one fixed (latency, energy) point,
+            # repeated per HFO candidate so downstream consumers (the
+            # MCKP classes, the uniform-HFO sweep) see a candidate at
+            # every frequency -- all identical, because the NPU's own
+            # clock domain makes the layer insensitive to CPU DVFS.
+            npu, n = self.board.npu, len(hfos)
+            macs = node.layer.macs(*model.input_shapes_of(node))
+            latency = npu.layer_latency_s(macs)
+            energy = npu.layer_energy_j(macs)
+            return self._points(node, [(0, [latency] * n, [energy] * n)])
+        rows = []
+        for g in granularities:
+            trace = self.tracer.build(model, node, g)
+            latencies, energies = self.pricer.price_batch(
+                trace, hfos, self.space.lfo, assume_relock=assume_relock
+            )
+            rows.append((trace.granularity, latencies, energies))
+        return self._points(node, rows)
+
+    def _sweep(self, model: Model, node: Node) -> Optional[Tuple[int, ...]]:
+        """The layer's granularity sweep, or ``None`` for an NPU layer.
+
+        Raises:
+            DesignSpaceError: as :meth:`explore_layer`.
+        """
+        if node.layer.kind not in CONV_KINDS:
             raise DesignSpaceError(
                 f"layer {node.layer.name!r} ({node.layer.kind.value}) is "
                 "not schedulable"
             )
         npu = self.board.npu
         if npu is not None and npu.supports(node.layer.kind):
-            # NPU-mapped layer: one fixed (latency, energy) point,
-            # repeated per HFO candidate so downstream consumers (the
-            # MCKP classes, the uniform-HFO sweep) see a candidate at
-            # every frequency -- all identical, because the NPU's own
-            # clock domain makes the layer insensitive to CPU DVFS.
-            macs = node.layer.macs(*model.input_shapes_of(node))
-            latency = npu.layer_latency_s(macs)
-            energy = npu.layer_energy_j(macs)
-            return [
-                SolutionPoint(
-                    node_id=node.node_id,
-                    layer_name=node.layer.name,
-                    layer_kind=node.layer.kind,
-                    granularity=0,
-                    hfo=hfo,
-                    latency_s=latency,
-                    energy_j=energy,
-                )
-                for hfo in self.space.hfo_configs
-            ]
+            return None
         if not node.layer.supports_dae:
-            granularities: "tuple" = (0,)
-        elif self.granularity_fn is not None:
-            granularities = tuple(self.granularity_fn(model, node))
-            if 0 not in granularities:
-                raise DesignSpaceError(
-                    "granularity_fn must always include 0 (no DAE)"
-                )
-        else:
-            granularities = self.space.granularities
-        points: List[SolutionPoint] = []
-        for g in granularities:
-            trace = self.tracer.build(model, node, g)
-            latencies, energies = self.pricer.price_batch(
-                trace, self.space.hfo_configs, self.space.lfo,
-                assume_relock=assume_relock,
+            return (0,)
+        if self.granularity_fn is None:
+            return tuple(self.space.granularities)
+        granularities = tuple(self.granularity_fn(model, node))
+        if 0 not in granularities:
+            raise DesignSpaceError(
+                "granularity_fn must always include 0 (no DAE)"
             )
+        return granularities
+
+    def _points(self, node: Node, rows) -> List[SolutionPoint]:
+        """One point per (row, HFO); each row is (effective granularity,
+        per-HFO latencies, per-HFO energies)."""
+        return [
+            SolutionPoint(
+                node_id=node.node_id,
+                layer_name=node.layer.name,
+                layer_kind=node.layer.kind,
+                granularity=g,
+                hfo=hfo,
+                latency_s=float(latency),
+                energy_j=float(energy),
+            )
+            for g, latencies, energies in rows
             for hfo, latency, energy in zip(
                 self.space.hfo_configs, latencies, energies
-            ):
-                points.append(
-                    SolutionPoint(
-                        node_id=node.node_id,
-                        layer_name=node.layer.name,
-                        layer_kind=node.layer.kind,
-                        granularity=trace.granularity,
-                        hfo=hfo,
-                        latency_s=float(latency),
-                        energy_j=float(energy),
-                    )
-                )
-        return points
+            )
+        ]
 
     def explore_model(self, model: Model) -> Dict[int, List[SolutionPoint]]:
         """Candidate clouds for every conv-family layer of a model."""

@@ -47,6 +47,7 @@ from ..errors import TraceError
 from ..mcu.board import Board
 from ..mcu.cache import CacheModel
 from ..mcu.core import CoreTimingParams, SegmentWorkload
+from ..memo import Memo
 from ..nn.graph import Model, Node
 from ..nn.layers.base import LayerKind, Shape
 from .trace import LayerTrace, ModelTrace, Segment, SegmentKind
@@ -165,9 +166,10 @@ class TraceBuilder:
     on repeat requests -- the DSE sweep, the pipeline's fixed-overhead
     accounting, the refinement loop and the runtime all share one
     build per (model, node, g).  Callers must treat cached traces as
-    immutable.  The cache is lock-protected, so one builder can be
-    shared across threads (the fleet worker pool does exactly that);
-    use :meth:`clear_cache` after mutating ``board`` or ``params`` in
+    immutable.  The cache is a single-flight :class:`~repro.memo.Memo`,
+    so one builder can be shared across threads (the fleet worker pool
+    does exactly that) and still builds each key once; use
+    :meth:`clear_cache` after mutating ``board`` or ``params`` in
     place, or pass ``cache=False`` for the uncached reference
     behaviour.
 
@@ -186,17 +188,21 @@ class TraceBuilder:
         self.board = board
         self.params = params or TraceParams()
         self._cache_enabled = cache
-        self._trace_cache: Dict[Tuple, LayerTrace] = {}
-        self._lock = threading.RLock()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._traces = Memo()
+
+    @property
+    def cache_hits(self) -> int:
+        """Builds served from the cache (waits on another build too)."""
+        return self._traces.counts["hit"] + self._traces.counts["wait"]
+
+    @property
+    def cache_misses(self) -> int:
+        """Traces actually built (one per key)."""
+        return self._traces.counts["miss"]
 
     def clear_cache(self) -> None:
         """Drop every memoized trace (and reset the hit/miss counters)."""
-        with self._lock:
-            self._trace_cache.clear()
-            self.cache_hits = 0
-            self.cache_misses = 0
+        self._traces.clear()
 
     @property
     def _cache(self) -> CacheModel:
@@ -226,19 +232,12 @@ class TraceBuilder:
         effective_g = (
             granularity if node.layer.supports_dae else 0
         )
-        key = (model_fingerprint(model), node.node_id, effective_g)
-        with self._lock:
-            cached = self._trace_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        # Build outside the lock: concurrent misses may duplicate work,
-        # but setdefault makes one instance canonical, so every caller
-        # still sees a single shared trace per key.
-        trace = self._build_uncached(model, node, granularity)
-        with self._lock:
-            self.cache_misses += 1
-            return self._trace_cache.setdefault(key, trace)
+        # Concurrent misses of one key wait for its single build, so
+        # every caller sees one shared trace and each key builds once.
+        return self._traces.get(
+            (model_fingerprint(model), node.node_id, effective_g),
+            self._build_uncached, model, node, granularity,
+        )
 
     def _build_uncached(
         self, model: Model, node: Node, granularity: int

@@ -38,16 +38,15 @@ moves power curves, not cycle counts; see
   the cache.  The entry lives per governor, not on the shared runtime,
   where never-reused fresh-QoS serve keys would pile up.
 
-The two fleet-wide caches are lock-protected with the
-compute-outside-the-lock / ``setdefault`` publication discipline, so a
-thread pool of devices can hammer them concurrently: a duplicated
-computation costs time, never correctness, and all threads converge on
-one canonical entry.
+The fleet-wide caches are single-flight :class:`~repro.memo.Memo`
+tables, so a thread pool of devices can hammer them concurrently: the
+first device to miss a key computes it, and every other device that
+asks meanwhile waits for that one result.  A pooled deploy therefore
+does exactly the work of a serial one.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,8 +64,8 @@ from ..engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
 from ..engine.schedule import DeploymentPlan, LayerPlan
 from ..errors import TraceError
 from ..mcu.board import Board
+from ..memo import Memo
 from ..nn.graph import Model, Node
-from ..obs.registry import get_registry
 from ..pipeline import DAEDVFSPipeline
 from ..power.energy import EnergyAccount
 from ..power.model import PowerState
@@ -116,7 +115,6 @@ class FleetSharedState:
         replays: (model_fp, plan signature, initial config) ->
             reference :class:`InferenceReport` executed without a QoS
             window (idle is charged analytically per device).
-        lock: guards ``components``, ``stacks`` and ``replays``.
     """
 
     def __init__(
@@ -125,19 +123,17 @@ class FleetSharedState:
         trace_params: Optional[TraceParams] = None,
     ):
         self.tracer = TraceBuilder(board, trace_params)
-        self.components: Dict[Tuple, Tuple[TimeComponents, int]] = {}
-        self.stacks: Dict[Tuple, StackedComponents] = {}
-        self.replays: Dict[Tuple, InferenceReport] = {}
-        self.lock = threading.RLock()
+        self.components = Memo("fleet.pricing", pool="components")
+        self.stacks = Memo("fleet.pricing", pool="stacks")
+        self.replays = Memo("fleet.pricing", pool="replays")
 
     def stats(self) -> Dict[str, int]:
         """Occupancy of each shared pool (for the obs registry)."""
-        with self.lock:
-            return {
-                "components": len(self.components),
-                "stacks": len(self.stacks),
-                "replays": len(self.replays),
-            }
+        return {
+            "components": len(self.components),
+            "stacks": len(self.stacks),
+            "replays": len(self.replays),
+        }
 
 
 class SharedComponentExplorer(DSEExplorer):
@@ -176,25 +172,16 @@ class SharedComponentExplorer(DSEExplorer):
             granularity,
             assume_relock,
         )
-        shared = self._shared
-        with shared.lock:
-            cached = shared.components.get(key)
-        if cached is not None:
-            get_registry().count(
-                "fleet.pricing", pool="components", event="hit"
+
+        def decompose() -> Tuple[TimeComponents, int]:
+            trace = self.tracer.build(model, node, granularity)
+            components = self.pricer.time_components_batch(
+                trace, self.space.hfo_configs, self.space.lfo,
+                assume_relock=assume_relock,
             )
-            return cached
-        get_registry().count(
-            "fleet.pricing", pool="components", event="miss"
-        )
-        trace = self.tracer.build(model, node, granularity)
-        components = self.pricer.time_components_batch(
-            trace, self.space.hfo_configs, self.space.lfo,
-            assume_relock=assume_relock,
-        )
-        entry = (components, trace.granularity)
-        with shared.lock:
-            return shared.components.setdefault(key, entry)
+            return components, trace.granularity
+
+        return self._shared.components.get(key, decompose)
 
     def _stacked_components(
         self,
@@ -209,24 +196,15 @@ class SharedComponentExplorer(DSEExplorer):
             granularities,
             assume_relock,
         )
-        shared = self._shared
-        with shared.lock:
-            cached = shared.stacks.get(key)
-        if cached is not None:
-            get_registry().count(
-                "fleet.pricing", pool="stacks", event="hit"
-            )
-            return cached
-        get_registry().count(
-            "fleet.pricing", pool="stacks", event="miss"
+        return self._shared.stacks.get(
+            key,
+            lambda: StackedComponents.stack(
+                [
+                    self._components_for(model, node, g, assume_relock)
+                    for g in granularities
+                ]
+            ),
         )
-        entries = [
-            self._components_for(model, node, g, assume_relock)
-            for g in granularities
-        ]
-        stacked = StackedComponents.stack(entries)
-        with shared.lock:
-            return shared.stacks.setdefault(key, stacked)
 
     def explore_layer(
         self,
@@ -235,64 +213,23 @@ class SharedComponentExplorer(DSEExplorer):
         assume_relock: bool = False,
     ) -> List[SolutionPoint]:
         """Same contract as the base explorer, via the shared cache."""
-        npu = self.board.npu
-        if npu is not None and npu.supports(node.layer.kind):
+        granularities = self._sweep(model, node)
+        if granularities is None:
             # NPU points carry no TimeComponents (nothing to decompose:
             # the latency/energy are fixed), so the shared cache buys
             # nothing -- price directly through the base explorer.
             return super().explore_layer(
                 model, node, assume_relock=assume_relock
             )
-        if not node.layer.supports_dae:
-            granularities: Tuple = (0,)
-        elif self.granularity_fn is not None:
-            granularities = tuple(self.granularity_fn(model, node))
-        else:
-            granularities = self.space.granularities
-        # Delegate validation (schedulability, granularity_fn contract)
-        # to the base class by reproducing its checks cheaply: a
-        # non-schedulable node or a granularity_fn omitting 0 should
-        # fail identically whether or not the cache is warm.
-        if granularities and 0 not in granularities:
-            return super().explore_layer(
-                model, node, assume_relock=assume_relock
-            )
-        from ..nn.layers.base import LayerKind
-
-        if node.layer.kind not in {
-            LayerKind.CONV2D,
-            LayerKind.DEPTHWISE_CONV,
-            LayerKind.POINTWISE_CONV,
-            LayerKind.DENSE,
-        }:
-            return super().explore_layer(
-                model, node, assume_relock=assume_relock
-            )
         stacked = self._stacked_components(
-            model, node, tuple(granularities), assume_relock
+            model, node, granularities, assume_relock
         )
         latencies, energies = self.pricer.price_components_stacked(
             stacked, self.space.hfo_configs, self.space.lfo
         )
-        points: List[SolutionPoint] = []
-        for row, effective_g in enumerate(
-            stacked.effective_granularities
-        ):
-            for hfo, latency, energy in zip(
-                self.space.hfo_configs, latencies[row], energies[row]
-            ):
-                points.append(
-                    SolutionPoint(
-                        node_id=node.node_id,
-                        layer_name=node.layer.name,
-                        layer_kind=node.layer.kind,
-                        granularity=effective_g,
-                        hfo=hfo,
-                        latency_s=float(latency),
-                        energy_j=float(energy),
-                    )
-                )
-        return points
+        return self._points(
+            node, zip(stacked.effective_granularities, latencies, energies)
+        )
 
 
 class ReplayingRuntime(DVFSRuntime):
@@ -324,28 +261,17 @@ class ReplayingRuntime(DVFSRuntime):
         plan: DeploymentPlan,
         initial_config: Optional[ClockConfig],
     ) -> InferenceReport:
-        shared = self._shared
         key = (
             model_fingerprint(model),
             plan_signature(plan),
             initial_config or plan.lfo,
         )
-        with shared.lock:
-            record = shared.replays.get(key)
-        if record is None:
-            get_registry().count(
-                "fleet.pricing", pool="replays", event="miss"
-            )
-            record = super().run(
+        return self._shared.replays.get(
+            key,
+            lambda: super(ReplayingRuntime, self).run(
                 model, plan, qos_s=None, initial_config=initial_config
-            )
-            with shared.lock:
-                record = shared.replays.setdefault(key, record)
-        else:
-            get_registry().count(
-                "fleet.pricing", pool="replays", event="hit"
-            )
-        return record
+            ),
+        )
 
     def run(
         self,

@@ -6,12 +6,14 @@ and builds one :class:`~repro.pipeline.DAEDVFSPipeline` per distinct
 board fingerprint, wired into that shared state.  Devices then flow
 through a :class:`concurrent.futures.ThreadPoolExecutor`: every worker
 optimizes + deploys its device on the device's pipeline, and all
-cross-device reuse happens through the lock-protected caches.
+cross-device reuse happens through single-flight caches
+(:class:`~repro.memo.Memo`).
 
-Two executions of the same fleet produce identical results regardless
-of worker count or scheduling order: per-device computations are
-independent, shared caches publish canonical values with
-``setdefault``, and results are reported in device-id order.
+Two executions of the same fleet produce identical results, and do
+identical work, regardless of worker count or scheduling order:
+per-device computations are independent, each shared cache key is
+computed once (concurrent askers wait for it), and results are
+reported in device-id order.
 
 The ``share=False`` mode prices every device from scratch on a private
 pipeline (the single-device cost, N times) -- the baseline
@@ -24,7 +26,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..dse.space import DesignSpace
 from ..engine.cost import TraceParams
@@ -38,6 +40,7 @@ from ..errors import (
 )
 from ..faults.plan import FaultPlan, PLAN_STAGE
 from ..mcu.board import Board, make_nucleo_f767zi
+from ..memo import Memo
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.series import SeriesStore
@@ -166,28 +169,23 @@ class FleetScheduler:
         )
         self.space: DesignSpace = base_group.space
         self.shared = base_group.shared
-        self._groups: Dict[str, BoardPlanningGroup] = {
-            self.base_board.name: base_group
-        }
-        self._groups_lock = threading.Lock()
-        self._pipelines: Dict[Tuple, DAEDVFSPipeline] = {
-            self.base_board.fingerprint(): base_group.pipeline
-        }
-        self._pipelines_lock = threading.Lock()
+        self._groups = Memo()
+        self._groups.put(self.base_board.name, base_group)
+        self._pipelines = Memo()
+        self._pipelines.put(self.base_board.fingerprint(), base_group.pipeline)
 
     # -- pipeline wiring ---------------------------------------------------------
 
     def _group_for(self, board: Board) -> BoardPlanningGroup:
         """The planning group of a device's board target (by name)."""
-        with self._groups_lock:
-            group = self._groups.get(board.name)
-        if group is not None:
-            return group
-        group = BoardPlanningGroup(
-            self._nominal_board_for(board), self.trace_params, self.solver
+        return self._groups.get(
+            board.name,
+            lambda: BoardPlanningGroup(
+                self._nominal_board_for(board),
+                self.trace_params,
+                self.solver,
+            ),
         )
-        with self._groups_lock:
-            return self._groups.setdefault(board.name, group)
 
     @staticmethod
     def _nominal_board_for(board: Board) -> Board:
@@ -220,16 +218,15 @@ class FleetScheduler:
                 trace_params=self.trace_params,
                 solver=self.solver,
             )
-        key = profile.board.fingerprint()
-        with self._pipelines_lock:
-            pipeline = self._pipelines.get(key)
-        if pipeline is not None:
-            return pipeline
-        group = self._group_for(profile.board)
-        pipeline = group.pipeline_on(profile.board)
+        return self._pipelines.get(
+            profile.board.fingerprint(), self._warm_pipeline_on, profile.board
+        )
+
+    def _warm_pipeline_on(self, board: Board) -> DAEDVFSPipeline:
+        group = self._group_for(board)
+        pipeline = group.pipeline_on(board)
         pipeline.warm_start_from(group.pipeline, self.model)
-        with self._pipelines_lock:
-            return self._pipelines.setdefault(key, pipeline)
+        return pipeline
 
     # -- execution ---------------------------------------------------------------
 

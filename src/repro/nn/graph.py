@@ -25,6 +25,17 @@ from .tensor import QuantizedTensor
 #: Node id of the model input placeholder.
 INPUT_ID = 0
 
+#: Convolution-family layer kinds: the schedulable units of the
+#: paper's per-layer DVFS (they carry arithmetic to scale).
+CONV_KINDS = frozenset(
+    {
+        LayerKind.CONV2D,
+        LayerKind.DEPTHWISE_CONV,
+        LayerKind.POINTWISE_CONV,
+        LayerKind.DENSE,
+    }
+)
+
 
 @dataclass(frozen=True)
 class Node:
@@ -127,15 +138,8 @@ class Model:
         return [node.layer for node in self.nodes]
 
     def conv_nodes(self) -> List[Node]:
-        """Nodes carrying convolution-family layers (the schedulable
-        units of the paper's per-layer DVFS)."""
-        conv_kinds = {
-            LayerKind.CONV2D,
-            LayerKind.DEPTHWISE_CONV,
-            LayerKind.POINTWISE_CONV,
-            LayerKind.DENSE,
-        }
-        return [node for node in self.nodes if node.layer.kind in conv_kinds]
+        """Nodes carrying :data:`CONV_KINDS` layers."""
+        return [node for node in self.nodes if node.layer.kind in CONV_KINDS]
 
     def dae_nodes(self) -> List[Node]:
         """Nodes eligible for the DAE transformation (DW + PW convs)."""

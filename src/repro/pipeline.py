@@ -21,7 +21,6 @@ in the iso-latency energy scenario.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -34,9 +33,9 @@ from .engine.schedule import DeploymentPlan, LayerPlan
 from .engine.tinyengine import TinyEngine
 from .errors import QoSInfeasibleError, SolverError
 from .mcu.board import Board, make_nucleo_f767zi
+from .memo import Memo
 from .nn.graph import Model
 from .obs.audit import get_audit_log
-from .obs.registry import get_registry
 from .obs.tracing import span
 from .optimize.greedy import solve_mckp_greedy
 from .optimize.mckp import (
@@ -55,11 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
 #: Extra solve rounds the switching-overhead refinement loop may spend
 #: before the free (mixed-frequency) schedule is abandoned.
 MAX_REFINEMENTS = 3
-
-
-def _cache_event(cache: str, event: str) -> None:
-    """Count one Step-2 memo-cache hit/miss in the metrics registry."""
-    get_registry().count("pipeline.cache", cache=cache, event=event)
 
 
 @dataclass
@@ -171,18 +165,15 @@ class DAEDVFSPipeline:
         # per-(model, HFO) uniform-sweep fronts, the fixed
         # (non-schedulable) overhead and the baseline latency.
         # `compare()` across QoS levels and the uniform-HFO fallback
-        # sweep reuse Step 2 instead of re-running it.  Reads/writes go
-        # through ``_cache_lock`` (values are computed outside the lock
-        # and published with ``setdefault``, so concurrent misses cost
-        # a duplicate computation but always observe one canonical
-        # value) -- the fleet worker pool shares pipelines across
-        # threads; see :meth:`clear_caches`.
-        self._cache_lock = threading.RLock()
-        self._cloud_cache: Dict[Tuple, Dict[int, List[SolutionPoint]]] = {}
-        self._front_cache: Dict[Tuple, Dict[int, List[SolutionPoint]]] = {}
-        self._uniform_front_cache: Dict[Tuple, Dict] = {}
-        self._fixed_overhead_cache: Dict[Tuple, float] = {}
-        self._baseline_cache: Dict[Tuple, float] = {}
+        # sweep reuse Step 2 instead of re-running it.  Each is a
+        # single-flight :class:`~repro.memo.Memo`: the fleet worker pool
+        # shares pipelines across threads, and threads missing one key
+        # wait for its one computation; see :meth:`clear_caches`.
+        self._cloud_cache = Memo("pipeline.cache", cache="cloud")
+        self._front_cache = Memo("pipeline.cache", cache="front")
+        self._uniform_front_cache = Memo("pipeline.cache", cache="uniform")
+        self._fixed_overhead_cache = Memo("pipeline.cache", cache="fixed")
+        self._baseline_cache = Memo("pipeline.cache", cache="baseline")
 
     def _model_key(self, model: Model) -> Tuple:
         """Cache key: model + board + design-space identity.
@@ -210,12 +201,9 @@ class DAEDVFSPipeline:
         recommended alternative).  Model mutations need no manual
         invalidation: the fingerprint changes with the graph.
         """
-        with self._cache_lock:
-            self._cloud_cache.clear()
-            self._front_cache.clear()
-            self._uniform_front_cache.clear()
-            self._fixed_overhead_cache.clear()
-            self._baseline_cache.clear()
+        for memo in vars(self).values():
+            if isinstance(memo, Memo):
+                memo.clear()
         self.tracer.clear_cache()
 
     def warm_start_from(
@@ -231,12 +219,9 @@ class DAEDVFSPipeline:
         key embeds the space fingerprint, so a mismatch is inert
         rather than wrong).
         """
-        baseline = donor.baseline_latency_s(model)
-        fixed = donor.fixed_overhead_s(model)
         key = self._model_key(model)
-        with self._cache_lock:
-            self._baseline_cache.setdefault(key, baseline)
-            self._fixed_overhead_cache.setdefault(key, fixed)
+        self._baseline_cache.put(key, donor.baseline_latency_s(model))
+        self._fixed_overhead_cache.put(key, donor.fixed_overhead_s(model))
 
     def replan(
         self,
@@ -376,16 +361,9 @@ class DAEDVFSPipeline:
         timing model, so every QoS level -- and, fleet-wide, every
         device sharing this pipeline -- anchors to the same number.
         """
-        key = self._model_key(model)
-        with self._cache_lock:
-            cached = self._baseline_cache.get(key)
-        if cached is not None:
-            _cache_event("baseline", "hit")
-            return cached
-        _cache_event("baseline", "miss")
-        baseline = self._tinyengine.inference_latency_s(model)
-        with self._cache_lock:
-            return self._baseline_cache.setdefault(key, baseline)
+        return self._baseline_cache.get(
+            self._model_key(model), self._tinyengine.inference_latency_s, model
+        )
 
     def fixed_overhead_s(self, model: Model) -> float:
         """Latency of the non-schedulable layers (pool/add/flatten).
@@ -399,13 +377,11 @@ class DAEDVFSPipeline:
         of the shared :attr:`tracer` cache and the sum is reused by
         every refinement round and QoS level.
         """
-        key = self._model_key(model)
-        with self._cache_lock:
-            cached = self._fixed_overhead_cache.get(key)
-        if cached is not None:
-            _cache_event("fixed", "hit")
-            return cached
-        _cache_event("fixed", "miss")
+        return self._fixed_overhead_cache.get(
+            self._model_key(model), self._fixed_overhead, model
+        )
+
+    def _fixed_overhead(self, model: Model) -> float:
         fastest = max(self.space.hfo_configs, key=lambda c: c.sysclk_hz)
         conv_ids = {node.node_id for node in model.conv_nodes()}
         overhead = 0.0
@@ -417,8 +393,7 @@ class DAEDVFSPipeline:
                 trace, fastest, self.space.lfo, assume_relock=False
             )
             overhead += latency
-        with self._cache_lock:
-            return self._fixed_overhead_cache.setdefault(key, overhead)
+        return overhead
 
     def optimize(
         self,
@@ -526,13 +501,11 @@ class DAEDVFSPipeline:
         mode, the already-collected measurement campaign) instead of
         exploring again.
         """
-        key = self._model_key(model)
-        with self._cache_lock:
-            cached = self._cloud_cache.get(key)
-        if cached is not None:
-            _cache_event("cloud", "hit")
-            return cached
-        _cache_event("cloud", "miss")
+        return self._cloud_cache.get(
+            self._model_key(model), self._explore, model
+        )
+
+    def _explore(self, model: Model) -> Dict[int, List[SolutionPoint]]:
         with span(
             "pipeline.explore",
             model=model.name,
@@ -558,28 +531,21 @@ class DAEDVFSPipeline:
                         )
                         for record in records
                     ]
-        with self._cache_lock:
-            return self._cloud_cache.setdefault(key, clouds)
+        return clouds
 
     def _pareto_fronts(
         self, model: Model, clouds: Dict[int, List[SolutionPoint]]
     ) -> Dict[int, List[SolutionPoint]]:
         """Per-layer Pareto fronts of the clouds (memoized per model)."""
-        key = self._model_key(model)
-        with self._cache_lock:
-            cached = self._front_cache.get(key)
-        if cached is not None:
-            _cache_event("front", "hit")
-            return cached
-        _cache_event("front", "miss")
-        fronts = {
-            node_id: pareto_front(
-                points, key=lambda p: (p.latency_s, p.energy_j)
-            )
-            for node_id, points in clouds.items()
-        }
-        with self._cache_lock:
-            return self._front_cache.setdefault(key, fronts)
+        return self._front_cache.get(
+            self._model_key(model),
+            lambda: {
+                node_id: pareto_front(
+                    points, key=lambda p: (p.latency_s, p.energy_j)
+                )
+                for node_id, points in clouds.items()
+            },
+        )
 
     def harmonize(
         self, model: Model, result: OptimizationResult
@@ -669,13 +635,13 @@ class DAEDVFSPipeline:
         no candidate at that HFO.  Budget-independent, so the sweep
         across QoS levels reuses one filtering + front pass per model.
         """
-        key = self._model_key(model)
-        with self._cache_lock:
-            cached = self._uniform_front_cache.get(key)
-        if cached is not None:
-            _cache_event("uniform", "hit")
-            return cached
-        _cache_event("uniform", "miss")
+        return self._uniform_front_cache.get(
+            self._model_key(model), self._uniform_fronts, clouds
+        )
+
+    def _uniform_fronts(
+        self, clouds: Dict[int, List[SolutionPoint]]
+    ) -> Dict:
         node_ids = sorted(clouds)
         # One pass per node groups its cloud by HFO (stable order), so
         # the per-HFO loop below indexes instead of rescanning the
@@ -706,8 +672,7 @@ class DAEDVFSPipeline:
                     ]
                 )
             per_hfo[hfo] = classes
-        with self._cache_lock:
-            return self._uniform_front_cache.setdefault(key, per_hfo)
+        return per_hfo
 
     def _best_uniform_hfo_plan(
         self,
@@ -826,10 +791,7 @@ class DAEDVFSPipeline:
         QoS budget and its record is windowed under both idle policies.
         """
         baseline = self._tinyengine.run(model)
-        with self._cache_lock:
-            self._baseline_cache.setdefault(
-                self._model_key(model), baseline.latency_s
-            )
+        self._baseline_cache.put(self._model_key(model), baseline.latency_s)
         result = self.optimize(model, qos_level=qos_level)
         ours = self.deploy(model, result.plan)
         te = self._tinyengine.window(baseline, result.qos_s)

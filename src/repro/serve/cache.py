@@ -75,8 +75,7 @@ class PlanCache:
         """Insert (or refresh) one payload, evicting the LRU tail.
 
         Returns the canonical stored payload: concurrent writers of
-        the same key converge on the first-published value, mirroring
-        the pipeline caches' ``setdefault`` discipline.
+        the same key converge on the first-published value.
         """
         evicted = 0
         with self._lock:

@@ -29,6 +29,7 @@ from ..engine.serialize import plan_to_dict
 from ..errors import ProtocolError
 from ..fleet.pricing import BoardPlanningGroup, FleetSharedState
 from ..mcu.board import Board, make_nucleo_f767zi
+from ..memo import Memo
 from ..nn import PAPER_MODELS, build_tiny_test_model
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
@@ -127,18 +128,15 @@ class PlanService:
         # Lazily-built planning groups for requests that select a
         # registry target (``params["board"]``).  The default (no
         # board param) keeps using ``_group``.
-        self._board_groups: Dict[str, BoardPlanningGroup] = {}
-        self._board_groups_lock = threading.Lock()
-        self._models: Dict[str, Model] = {}
-        self._models_lock = threading.Lock()
+        self._board_groups = Memo()
+        self._models = Memo()
         # (model_key, qos_key) -> OptimizationResult, most recent last.
         self._front_store: "OrderedDict[Tuple, OptimizationResult]" = (
             OrderedDict()
         )
         self._front_lock = threading.Lock()
         self.max_front_store = max_front_store
-        self._health_lock = threading.Lock()
-        self._health_result: Optional[Dict[str, Any]] = None
+        self._health = Memo()
 
     # -- wiring ------------------------------------------------------------------
 
@@ -165,15 +163,20 @@ class PlanService:
         """
         if board_name is None:
             return self._group
-        with self._board_groups_lock:
-            group = self._board_groups.get(board_name)
-        if group is not None:
-            return group
+        return self._board_groups.get(
+            board_name,
+            lambda: BoardPlanningGroup(
+                self._new_board(board_name), solver=self.solver
+            ),
+        )
+
+    def _new_board(self, board_name: Optional[str]) -> Board:
+        """A fresh board for a selector (``None``: the default)."""
+        if board_name is None:
+            return self.board_factory()
         from ..boards.registry import build_board
 
-        group = BoardPlanningGroup(build_board(board_name), solver=self.solver)
-        with self._board_groups_lock:
-            return self._board_groups.setdefault(board_name, group)
+        return build_board(board_name)
 
     def resolve_model(self, name: Any) -> Model:
         """The shared model instance for a wire name.
@@ -190,13 +193,7 @@ class PlanService:
                 f"unknown model {name!r}; expected one of "
                 f"{sorted(MODEL_REGISTRY)}"
             )
-        with self._models_lock:
-            model = self._models.get(name)
-            if model is None:
-                model = self._models.setdefault(
-                    name, MODEL_REGISTRY[name]()
-                )
-            return model
+        return self._models.get(name, MODEL_REGISTRY[name])
 
     # -- planning ----------------------------------------------------------------
 
@@ -331,11 +328,11 @@ class PlanService:
         """
         if not self.cache_enabled or not isinstance(model_name, str):
             return None
-        # Bare dict reads: resolve_model holds _models_lock while it
-        # builds a model, and the event loop must not wait on that.
-        model = self._models.get(model_name)
+        # Peeks never wait on a model or group still being built.
+        model = self._models.peek(model_name)
         if model is None or (
-            board_name is not None and board_name not in self._board_groups
+            board_name is not None
+            and self._board_groups.peek(board_name) is None
         ):
             return None
         key = self.cache_key(model, qos_key, board_name)
@@ -410,13 +407,9 @@ class PlanService:
         digest-consistency check compares cached payloads against.
         """
         model = self.resolve_model(model_name)
-        if board_name is None:
-            board = self.board_factory()
-        else:
-            from ..boards.registry import build_board
-
-            board = build_board(board_name)
-        pipeline = DAEDVFSPipeline(board=board, solver=self.solver)
+        pipeline = DAEDVFSPipeline(
+            board=self._new_board(board_name), solver=self.solver
+        )
         result = pipeline.optimize(model, **self._qos_args(qos_key))
         payload = self._payload(model_name, qos_key, result, board_name)
         return {**payload, "cached": False}
@@ -515,19 +508,19 @@ class PlanService:
 
     def health(self, refresh: bool = False) -> Dict[str, Any]:
         """Quick selftest subset (memoized; ``refresh`` re-runs it)."""
-        from ..selftest import run_selftest
+        if refresh:
+            self._health.clear()
+        return self._health.get("quick", _quick_selftest)
 
-        with self._health_lock:
-            if self._health_result is not None and not refresh:
-                return self._health_result
-        result = run_selftest(quick=True)
-        payload = {
-            "ok": result.ok,
-            "checks": [
-                {"name": name, "ok": passed, "detail": detail}
-                for name, passed, detail in result.checks
-            ],
-        }
-        with self._health_lock:
-            self._health_result = payload
-            return payload
+
+def _quick_selftest() -> Dict[str, Any]:
+    from ..selftest import run_selftest
+
+    result = run_selftest(quick=True)
+    return {
+        "ok": result.ok,
+        "checks": [
+            {"name": name, "ok": passed, "detail": detail}
+            for name, passed, detail in result.checks
+        ],
+    }

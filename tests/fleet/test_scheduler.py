@@ -1,9 +1,13 @@
 """Fleet scheduler: pooled/serial/shared equivalence, cache reuse."""
 
 import threading
+import time
+from collections import Counter
 
 import pytest
 
+from repro.dse.explorer import LayerCostModel
+from repro.engine.cost import TraceBuilder
 from repro.errors import ReproError
 from repro.fleet import FleetScheduler, sample_fleet
 from repro.nn import build_tiny_test_model
@@ -101,9 +105,8 @@ class TestSharing:
         assert len(scheduler.shared.components) == components
 
     def test_concurrent_optimize_on_one_shared_pipeline(self, tiny):
-        # Hammer a single pipeline from many threads; the lock/
-        # setdefault discipline must keep results identical to a cold
-        # solo run.
+        # Hammer a single pipeline from many threads; the single-flight
+        # caches must keep results identical to a cold solo run.
         scheduler = FleetScheduler(tiny, qos_level=MODERATE)
         pipeline = scheduler.pipeline_for(sample_fleet(1, seed=5)[0])
         reference = pipeline.optimize(tiny, qos_level=MODERATE)
@@ -128,6 +131,53 @@ class TestSharing:
         for r in results:
             assert r.plan == reference.plan
             assert r.qos_s == reference.qos_s
+
+
+class TestPooledWork:
+    @staticmethod
+    def deploy_counts(monkeypatch, pooled):
+        """Calls per trace key and per decomposition key of one deploy.
+
+        Each counted call sleeps 1 ms, which widens any window in which
+        two workers could both miss one shared key.
+        """
+        traces, decompositions = Counter(), Counter()
+        lock = threading.Lock()
+        build = TraceBuilder._build_uncached
+        decompose = LayerCostModel.time_components_batch
+
+        def counted_build(self, model, node, granularity):
+            g = granularity if node.layer.supports_dae else 0
+            with lock:
+                traces[(model.name, node.node_id, g)] += 1
+            time.sleep(0.001)
+            return build(self, model, node, granularity)
+
+        def counted_decompose(self, trace, hfos, lfo, assume_relock=False):
+            key = (trace.node_id, trace.granularity, assume_relock)
+            with lock:
+                decompositions[key] += 1
+            time.sleep(0.001)
+            return decompose(self, trace, hfos, lfo, assume_relock)
+
+        monkeypatch.setattr(TraceBuilder, "_build_uncached", counted_build)
+        monkeypatch.setattr(
+            LayerCostModel, "time_components_batch", counted_decompose
+        )
+        scheduler = FleetScheduler(
+            build_tiny_test_model(), qos_level=MODERATE, max_workers=4
+        )
+        results = scheduler.run(sample_fleet(8, seed=3), pooled=pooled)
+        assert all(r.error is None for r in results)
+        monkeypatch.undo()
+        return traces, decompositions
+
+    def test_pooled_deploy_does_serial_work(self, monkeypatch):
+        serial = self.deploy_counts(monkeypatch, pooled=False)
+        pooled = self.deploy_counts(monkeypatch, pooled=True)
+        for serial_calls, pooled_calls in zip(serial, pooled):
+            assert serial_calls and set(serial_calls.values()) == {1}
+            assert pooled_calls == serial_calls
 
 
 class TestErrors:
