@@ -668,8 +668,6 @@ def cmd_scenario(args: argparse.Namespace) -> Result:
         ),
         seed=args.seed,
     )
-    if args.shards:
-        config.shards = args.shards
     if args.oracle_stride is not None:
         config.oracle_stride = args.oracle_stride
     if args.board:
@@ -742,40 +740,12 @@ def _serve_config(args: argparse.Namespace):
 def cmd_serve(args: argparse.Namespace) -> Result:
     import asyncio
 
-    from .serve import PlanServer, RouterConfig, ShardRouter
+    from .serve import PlanServer
 
     config = _serve_config(args)
     config.default_board = args.board
-    shards = args.shards
-
-    async def _run_sharded() -> None:
-        router = ShardRouter(
-            RouterConfig(
-                shards=shards,
-                host=config.host,
-                port=config.port,
-                health_interval_s=args.health_interval_s,
-                serve=config,
-                journal_path=args.journal,
-            )
-        )
-        await router.start()
-        print(
-            f"repro-dvfs serve listening on "
-            f"{config.host}:{router.port} "
-            f"({shards} shards, shared cache on, "
-            f"batch={'on' if not args.no_batch else 'off'})",
-            flush=True,
-        )
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await router.stop()
 
     async def _run() -> None:
-        if shards:
-            await _run_sharded()
-            return
         server = PlanServer(config)
         await server.start()
         print(
@@ -817,8 +787,6 @@ def cmd_loadgen(args: argparse.Namespace) -> Result:
         slo_p99_ms=args.slo_p99_ms,
         verify_digests=not args.no_verify,
         serve=_serve_config(args),
-        shards=args.shards,
-        journal_path=args.journal,
         target_host=args.host,
         target_port=args.port,
     )
@@ -1025,9 +993,7 @@ def cmd_monitor(args: argparse.Namespace) -> Result:
     One snapshot tails the registry as a single window-sized delta
     from empty; two snapshots (start, end) roll the exact delta
     between them.  ``--connect HOST:PORT`` pulls the snapshot from a
-    live server's ``metrics`` protocol op instead of a file -- on a
-    shard router that snapshot is the fleet-coherent merge of every
-    worker's registry.
+    live server's ``metrics`` protocol op instead of a file.
     """
     from .obs.prom import lint_exposition, to_prometheus
     from .obs.registry import snapshot_digest
@@ -1449,11 +1415,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="override the preset's root seed",
     )
     p.add_argument(
-        "--shards", type=int, default=0,
-        help="route replans through a shard router with this many"
-        " worker processes (0 = in-process serve tier)",
-    )
-    p.add_argument(
         "--oracle-stride", type=int, default=None,
         help="twin every Nth device with a clairvoyant oracle"
         " (0 disables the gap metric)",
@@ -1542,27 +1503,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=7070,
         help="TCP port to bind (0 picks a free one)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help=(
-            "front this many worker processes with a consistent-hash"
-            " router and a shared plan-cache tier (0 = single process)"
-        ),
-    )
-    p.add_argument(
-        "--health-interval-s", type=float, default=None,
-        help=(
-            "probe shard health this often, evicting and respawning"
-            " failed workers (sharded mode only)"
-        ),
-    )
-    p.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help=(
-            "write-ahead journal for the shared plan-cache tier; a"
-            " restart rebuilds the tier from it (sharded mode only)"
-        ),
     )
     add_board(p)
     add_serve_tuning(p)
@@ -1690,16 +1630,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slo-p99-ms", type=float, default=None,
         help="gate the run on attained p99 latency",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="drive an in-process shard router with this many worker"
-             " processes (0 = single process)",
-    )
-    p.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="write-ahead journal for the router's shared plan-cache"
-             " tier (sharded mode only)",
     )
     p.add_argument(
         "--deadline-s", type=float, default=None,

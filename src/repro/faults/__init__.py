@@ -13,7 +13,6 @@ from .plan import (
     FaultPlan,
     GOVERN_STAGE,
     PLAN_STAGE,
-    SERVE_STAGE,
 )
 from .campaign import (
     CampaignClocks,
@@ -41,6 +40,5 @@ __all__ = [
     "GOVERN_STAGE",
     "PLAN_STAGE",
     "SCENARIO_STAGE_BASE",
-    "SERVE_STAGE",
     "run_campaign",
 ]

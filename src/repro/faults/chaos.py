@@ -238,25 +238,6 @@ class ChaosReport:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def rows_digest(self) -> str:
-        """SHA-256 over the survival rows alone (no plan echo).
-
-        The anchor for *transparency* invariants: a fault stream that
-        only the serve tier consumes (WORKER_KILL) may change the plan
-        echo in :meth:`digest`, but must never move this value.
-        """
-        payload = json.dumps(
-            [
-                {
-                    k: (repr(v) if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-                for row in self._canonical_rows()
-            ],
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
     def to_dict(self) -> Dict:
         """JSON-ready representation (aggregates + rows + digest)."""
         return {

@@ -45,19 +45,15 @@ class FaultKind(enum.Enum):
     SENSOR_NACK = "sensor-nack"
     BROWNOUT_SAG = "brownout-sag"
     WATCHDOG_RESET = "watchdog-reset"
-    WORKER_KILL = "worker-kill"
 
 
 #: Stage spawn keys: one device's planning/deploy draws must not shift
 #: its supervision draws (and vice versa), so each stage gets its own
-#: child of the device's stream.  ``SeedSequence.spawn`` is
-#: prefix-stable, so appending WORKER_KILL as the eighth kind left the
-#: first seven streams bit-identical (the zero-rate digest pins hold).
+#: child of the device's stream.  Each kind's stream is its position in
+#: :class:`FaultKind`; ``SeedSequence.spawn`` is prefix-stable, so only
+#: appending (or dropping the last) kind keeps the others bit-identical.
 PLAN_STAGE = 0
 GOVERN_STAGE = 1
-#: The serve tier's fault clock (the shard router SIGKILLing a worker
-#: mid-request) -- not a per-device stage.
-SERVE_STAGE = 2
 
 
 @dataclass(frozen=True)
@@ -83,10 +79,6 @@ class FaultPlan:
             read fails).
         brownout_rate: supply sag per telemetry epoch.
         watchdog_rate: watchdog reset per layer checkpoint.
-        worker_kill_rate: shard-worker process crash (SIGKILL) per
-            routed planning request -- the serve tier's process-level
-            fault, consumed by the router's
-            :data:`SERVE_STAGE` clock rather than per-device clocks.
         brownout_derate: fraction of the battery's frequency cap a
             sagging rail still sustains.
         watchdog_reset_s: stall of one watchdog reset + checkpoint
@@ -104,7 +96,6 @@ class FaultPlan:
     sensor_nack_rate: float = 0.0
     brownout_rate: float = 0.0
     watchdog_rate: float = 0.0
-    worker_kill_rate: float = 0.0
     brownout_derate: float = 0.6
     watchdog_reset_s: float = 2e-3
     max_consecutive_resets: int = 3
@@ -118,7 +109,6 @@ class FaultPlan:
         FaultKind.SENSOR_NACK: "sensor_nack_rate",
         FaultKind.BROWNOUT_SAG: "brownout_rate",
         FaultKind.WATCHDOG_RESET: "watchdog_rate",
-        FaultKind.WORKER_KILL: "worker_kill_rate",
     }
 
     def __post_init__(self) -> None:
@@ -177,6 +167,8 @@ class FaultPlan:
                 name: getattr(self, name)
                 for name in sorted(self._RATE_FIELDS.values())
             },
+            # Retired kind: the brownout-summer/churn-heavy/chaos pins hash it.
+            "worker_kill_rate": 0.0,
             "brownout_derate": self.brownout_derate,
             "watchdog_reset_s": self.watchdog_reset_s,
             "max_consecutive_resets": self.max_consecutive_resets,
@@ -267,10 +259,6 @@ class FaultClock:
     def watchdog_reset(self) -> bool:
         """The watchdog fires at a layer checkpoint."""
         return self.trips(FaultKind.WATCHDOG_RESET)
-
-    def worker_kill(self) -> bool:
-        """A shard worker is SIGKILLed mid-request (serve tier)."""
-        return self.trips(FaultKind.WORKER_KILL)
 
     # -- reporting ----------------------------------------------------------
 

@@ -64,8 +64,6 @@ SIMULATION_FAMILY_PREFIXES = (
     "serve.errors",
     "serve.batch",
     "serve.queue_depth",
-    "serve.worker_up",
-    "router.",
     "fleet.governor",
     "scenario.",
 )

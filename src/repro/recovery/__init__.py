@@ -1,15 +1,8 @@
-"""Crash recovery: write-ahead journaling and scenario checkpoints.
+"""Crash recovery: scenario checkpoints.
 
-Two independent durability mechanisms with one shared discipline --
-every byte that crosses a crash boundary is digest-verified:
-
-* :mod:`repro.recovery.journal` -- a truncated-tail-tolerant
-  write-ahead journal for the shared plan-cache tier, so a respawned
-  worker (or a restarted router) rebuilds its shared state from disk
-  instead of starting cold.
-* :mod:`repro.recovery.checkpoint` -- event-boundary snapshots of a
-  scenario run; resuming from any boundary reproduces the
-  uninterrupted run's report byte-identically.
+:mod:`repro.recovery.checkpoint` takes event-boundary snapshots of a
+scenario run; resuming from any boundary reproduces the uninterrupted
+run's report byte-identically.
 """
 
 from .checkpoint import (
@@ -18,28 +11,10 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .journal import (
-    JournalRecord,
-    JournaledSharedCache,
-    PlanJournal,
-    decode_record,
-    encode_record,
-    journal_replans,
-    read_journal,
-    replay_into_cache,
-)
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "JournalRecord",
-    "JournaledSharedCache",
-    "PlanJournal",
     "ScenarioCheckpoint",
-    "decode_record",
-    "encode_record",
-    "journal_replans",
     "load_checkpoint",
-    "read_journal",
-    "replay_into_cache",
     "save_checkpoint",
 ]

@@ -57,7 +57,6 @@ from ..obs.tracing import span
 from ..optimize import QoSLevel
 from ..recovery.checkpoint import ScenarioCheckpoint, load_checkpoint
 from ..serve.admission import ArrivalClock
-from ..serve.router import RouterConfig, ShardRouter
 from ..serve.server import PlanServer, ServeConfig
 from .arrivals import ArrivalModel, ConstantArrivals
 from .churn import ChurnModel, ChurnProcess
@@ -90,8 +89,6 @@ class ScenarioConfig:
             serve tier (None = always-admit defaults, batching off --
             micro-batch windows are wall-clock and pointless when the
             engine submits sequentially).
-        shards: >0 routes replans through a ShardRouter with this many
-            worker processes instead of the in-process server.
         oracle_stride: twin every Nth initial device with a
             clairvoyant oracle (0 disables the gap metric).
         storm_threshold: replan intents in one tick that count the
@@ -127,7 +124,6 @@ class ScenarioConfig:
     churn: ChurnModel = field(default_factory=ChurnModel)
     campaign: Optional[FaultCampaign] = None
     serve: Optional[ServeConfig] = None
-    shards: int = 0
     oracle_stride: int = 0
     storm_threshold: int = 10
     max_workers: int = 4
@@ -148,8 +144,6 @@ class ScenarioConfig:
             raise ReproError("horizon_s must be positive")
         if self.tick_s <= 0:
             raise ReproError("tick_s must be positive")
-        if self.shards < 0:
-            raise ReproError("shards must be >= 0")
         if self.oracle_stride < 0:
             raise ReproError("oracle_stride must be >= 0")
         if self.storm_threshold < 1:
@@ -186,7 +180,8 @@ class ScenarioConfig:
                 else None
             ),
             "serve": {
-                "shards": self.shards,
+                # Retired option; the three test_drift_pins digests hash it.
+                "shards": 0,
                 "rate_per_s": (
                     self.serve.rate_per_s
                     if self.serve is not None
@@ -237,15 +232,7 @@ class ServeBridge:
             config.serve or ServeConfig(), batch_enabled=False
         )
         self._loop = asyncio.new_event_loop()
-        self._started = False
-        if config.shards > 0:
-            self._server = ShardRouter(
-                RouterConfig(shards=config.shards, serve=serve_cfg)
-            )
-            self._loop.run_until_complete(self._server.start())
-            self._started = True
-        else:
-            self._server = PlanServer(serve_cfg)
+        self._server = PlanServer(serve_cfg)
         self._next_id = 0
         self.requests: Dict[str, int] = {}
         self.sheds: Dict[str, int] = {}
@@ -290,7 +277,7 @@ class ServeBridge:
         }
 
     def close(self) -> None:
-        """Stop the server (and shard workers) and the private loop."""
+        """Stop the server and the private loop."""
         try:
             self._loop.run_until_complete(self._server.stop())
         finally:
@@ -868,19 +855,11 @@ class ScenarioEngine:
     def checkpoint(self) -> ScenarioCheckpoint:
         """Snapshot the complete mutable state at an event boundary.
 
-        Only meaningful between :meth:`step` calls.  Restricted to
-        in-process serving (``shards == 0``): shard worker processes
-        hold pipelines the snapshot cannot capture -- but the serve
-        *state* the engine observes (admission counters, token bucket,
-        arrival clock) is captured exactly, which is all that feeds
-        the report.
+        Only meaningful between :meth:`step` calls.  The serve *state*
+        the engine observes (admission counters, token bucket, arrival
+        clock) is captured exactly, which is all that feeds the report.
         """
         cfg = self.config
-        if cfg.shards != 0:
-            raise ReproError(
-                "checkpoint requires shards == 0 (worker processes "
-                "cannot be snapshotted)"
-            )
         if self._bridge is None:
             raise ReproError("engine not started (call start() first)")
         governors = [

@@ -12,11 +12,8 @@ planning backend (:mod:`.service`) and a seeded load generator --
 closed-loop, burst, and multi-client open-loop with latency-SLO gates
 (:mod:`.loadgen`).
 
-The tier also scales *out*: :mod:`.router` fronts N ``spawn``-ed
-worker processes (:mod:`.worker`, each a full :class:`PlanServer`)
-with a consistent-hash ring over the (model, QoS) coalescing identity,
-and the workers exchange plans byte-identically through the
-digest-addressed shared cache tier (:mod:`.shared_cache`).
+Planning is single-process CPU work, so the tier is one process: one
+:class:`PlanServer` with its LRU answers every request.
 
 The paper's plans are pure functions of (model, board, QoS), which is
 exactly what the cache and the request coalescing exploit: N
@@ -42,17 +39,13 @@ from .protocol import (
     error_from_exception,
     plan_digest,
 )
-from .router import HashRing, RouterConfig, ShardRouter, shard_key
 from .server import PlanServer, ServeConfig
 from .service import PlanService
-from .shared_cache import SharedCache, managed_shared_cache
-from .worker import worker_main
 
 __all__ = [
     "AdmissionController",
     "ArrivalClock",
     "ErrorPayload",
-    "HashRing",
     "InProcessClient",
     "LoadGenConfig",
     "PROTOCOL_VERSION",
@@ -62,20 +55,14 @@ __all__ = [
     "PlanService",
     "Request",
     "Response",
-    "RouterConfig",
     "ServeClient",
     "ServeConfig",
-    "ShardRouter",
-    "SharedCache",
     "TokenBucket",
     "decode_request",
     "decode_response",
     "encode_request",
     "encode_response",
     "error_from_exception",
-    "managed_shared_cache",
     "plan_digest",
     "run_loadgen",
-    "shard_key",
-    "worker_main",
 ]

@@ -79,8 +79,7 @@ class ServeClient:
         host / port: the serve endpoint.
         client_id: request-id prefix.
         retries: bounded retry budget for :meth:`request`.  With the
-            default 0 every failure surfaces immediately (the router's
-            forwarding clients do their own failover).  With N > 0 a
+            default 0 every failure surfaces immediately.  With N > 0 a
             lost connection is reopened and the request re-sent, and an
             :class:`~repro.errors.OverloadedError` shed is retried
             after the *server's* ``retry_after_s`` hint -- up to N
@@ -159,11 +158,10 @@ class ServeClient:
     async def call(self, request: Request) -> Response:
         """Send a pre-built request; return the decoded response.
 
-        The raw pass-through surface the shard router forwards on: the
-        response comes back *verbatim* (typed error payloads intact,
-        not rehydrated), and the request keeps its original id -- which
-        is what propagates one correlation identity from the router
-        process into the worker's span tree.  The id must be unique
+        The raw surface under :meth:`request`: the response comes back
+        *verbatim* (typed error payloads intact, not rehydrated), and
+        the request keeps its original id, which the server adopts as
+        the correlation ID of its span tree.  The id must be unique
         among this connection's in-flight requests.
         """
         if self._writer is None:

@@ -1,11 +1,11 @@
 """Seeded load generator for the serve layer: closed-loop, burst, open-loop.
 
-Drives a :class:`~repro.serve.server.PlanServer` or a
-:class:`~repro.serve.router.ShardRouter` (in-process by default, or
-any TCP address) with a *deterministic* request schedule: the full
-request list -- which model and which QoS each request asks for -- is
-drawn up front from one seeded RNG, so two runs with the same seed
-issue byte-identical request streams whatever the scheduler does.
+Drives a :class:`~repro.serve.server.PlanServer` (in-process by
+default, or any TCP address) with a *deterministic* request schedule:
+the full request list -- which model and which QoS each request asks
+for -- is drawn up front from one seeded RNG, so two runs with the
+same seed issue byte-identical request streams whatever the scheduler
+does.
 
 Three shapes of load:
 
@@ -16,8 +16,7 @@ Three shapes of load:
   loop iteration before any can complete.  Admission decisions then
   depend only on submission order, so shed counts reproduce exactly
   run over run (pinned by ``tests/serve/test_loadgen.py``
-  ``TestBurstOverload`` and, per shard, ``tests/serve/test_router.py``
-  ``TestShardedLoadgen``).
+  ``TestBurstOverload``).
 * **open loop** (``open_loop=True``): requests are dispatched on a
   fixed arrival timetable (``arrival_rate_rps``) regardless of how
   fast responses come back -- the production-shaped harness where a
@@ -30,9 +29,7 @@ attained percentiles against them and ``slo_met`` gates the run.
 
 The summary optionally cross-checks cache consistency: for every
 distinct (model, QoS) exercised, the served plan payload must digest
-(sha256) byte-identically to one computed on a cold pipeline --
-including plans that crossed a shard boundary through the shared
-cache tier.
+(sha256) byte-identically to one computed on a cold pipeline.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import OverloadedError, ReproError
 from ..obs.registry import LatencyHistogram
 from .client import InProcessClient, ServeClient
-from .router import RouterConfig, ShardRouter
 from .server import PlanServer, ServeConfig
 
 
@@ -60,11 +56,6 @@ class LoadGenConfig:
         models: when non-empty, each request draws its model from this
             tuple (seeded) -- the mixed multi-model traffic shape.
         qos_percents: QoS slack values the seeded schedule draws from.
-        pairs: when non-empty, the schedule cycles these explicit
-            (model, qos_percent) keys -- every pair issued the same
-            number of times (±1), seeded shuffle -- instead of drawing
-            from ``models`` x ``qos_percents``.  The benchmark uses
-            this to drive a key set with a known shard balance.
         requests: total requests to issue.
         concurrency: closed-loop worker count (ignored for bursts and
             open loop).
@@ -81,19 +72,7 @@ class LoadGenConfig:
         verify_digests: cross-check served payloads against a cold
             pipeline per distinct (model, QoS) (in-process targets
             only).
-        serve: server configuration for the in-process target (and
-            the per-worker configuration when sharded).
-        shards: when > 0, drive an in-process
-            :class:`~repro.serve.router.ShardRouter` with this many
-            worker processes instead of a single server.
-        router: full router configuration override (implies sharded;
-            ``shards``/``serve`` above are ignored when set).
-        journal_path: write-ahead journal for the sharded shared
-            plan-cache tier (ignored unless sharded; see
-            :mod:`repro.recovery.journal`).
-        fault_plan: optional :class:`~repro.faults.plan.FaultPlan`
-            driving the router's WORKER_KILL chaos hook (ignored
-            unless sharded).
+        serve: server configuration for the in-process target.
         target_host / target_port: drive an external TCP server
             instead of building one in-process.
     """
@@ -103,7 +82,6 @@ class LoadGenConfig:
     #: Optional registry board every request plans for (absent ->
     #: the serve tier's default board; wire shape unchanged).
     board: Optional[str] = None
-    pairs: Tuple[Tuple[str, float], ...] = ()
     qos_percents: Tuple[float, ...] = (10.0, 30.0, 50.0)
     requests: int = 64
     concurrency: int = 8
@@ -117,10 +95,6 @@ class LoadGenConfig:
     slo_p99_ms: Optional[float] = None
     verify_digests: bool = True
     serve: ServeConfig = field(default_factory=ServeConfig)
-    shards: int = 0
-    router: Optional[RouterConfig] = None
-    journal_path: Optional[str] = None
-    fault_plan: Optional[Any] = None
     target_host: Optional[str] = None
     target_port: Optional[int] = None
 
@@ -137,39 +111,15 @@ class LoadGenConfig:
             raise ReproError("arrival_rate_rps must be positive")
         if self.burst and self.open_loop:
             raise ReproError("burst and open_loop are exclusive")
-        if self.shards < 0:
-            raise ReproError("shards must be >= 0")
 
     @property
     def model_pool(self) -> Tuple[str, ...]:
         return self.models if self.models else (self.model,)
 
-    @property
-    def sharded(self) -> bool:
-        return self.router is not None or self.shards > 0
-
-    def router_config(self) -> RouterConfig:
-        if self.router is not None:
-            return self.router
-        return RouterConfig(
-            shards=self.shards,
-            serve=self.serve,
-            journal_path=self.journal_path,
-            fault_plan=self.fault_plan,
-        )
-
 
 def request_schedule(config: LoadGenConfig) -> List[Tuple[str, float]]:
     """The deterministic per-request (model, QoS) assignment."""
     rng = random.Random(f"loadgen:{config.seed}")
-    if config.pairs:
-        reps = -(-config.requests // len(config.pairs))
-        schedule = [
-            (str(model), float(qos))
-            for model, qos in config.pairs * reps
-        ][: config.requests]
-        rng.shuffle(schedule)
-        return schedule
     models = config.model_pool
     return [
         (
@@ -210,10 +160,6 @@ async def _issue(
         )
         if result.get("cached"):
             outcome["cached"] += 1
-        if result.get("degraded"):
-            # A router failover answered from the shared cache or with
-            # the uniform fallback; these carry no fresh-solve digest.
-            outcome["degraded"] += 1
         outcome["histogram"].record(time.perf_counter() - start)
 
 
@@ -282,9 +228,8 @@ async def _verify_digests(
     """Cold-recompute every distinct key; count (checks, mismatches).
 
     The served payload comes back through the real request path (a
-    cache or shared-cache hit by now); the oracle is a fresh cold
-    pipeline in this process -- exactly the single-process answer the
-    sharded digests must match.
+    cache hit by now); the oracle is a fresh cold pipeline in this
+    process.
     """
     from .service import PlanService
 
@@ -309,12 +254,6 @@ async def _verify_digests(
                 if delay:
                     await asyncio.sleep(delay)
             else:
-                if result.get("degraded") == "uniform-fallback":
-                    # Mid-recovery fallback carries no digest; by the
-                    # next attempt the failover's health pass has the
-                    # respawned worker serving real solves again.
-                    await asyncio.sleep(0.01)
-                    continue
                 return result
         raise ReproError(
             "digest verification was never admitted; admission "
@@ -367,7 +306,6 @@ def _slo_block(
 
 async def _run(config: LoadGenConfig) -> Dict[str, Any]:
     own_server: Optional[PlanServer] = None
-    own_router: Optional[ShardRouter] = None
     tcp_clients: List[ServeClient] = []
     clients: List[Any] = []
     if config.target_host is not None and config.target_port is not None:
@@ -380,13 +318,6 @@ async def _run(config: LoadGenConfig) -> Dict[str, Any]:
                 ).connect()
             )
         clients = list(tcp_clients)
-    elif config.sharded:
-        own_router = ShardRouter(config.router_config())
-        await own_router.start()
-        clients = [
-            InProcessClient(own_router, client_id=f"loadgen-c{k}")
-            for k in range(config.clients)
-        ]
     else:
         own_server = PlanServer(config.serve)
         clients = [
@@ -399,7 +330,6 @@ async def _run(config: LoadGenConfig) -> Dict[str, Any]:
         "ok": 0,
         "shed": 0,
         "cached": 0,
-        "degraded": 0,
         "ok_by_model": {},
         "errors": [],
         "histogram": LatencyHistogram(),
@@ -410,26 +340,14 @@ async def _run(config: LoadGenConfig) -> Dict[str, Any]:
     digest_mismatches = 0
     if (
         config.verify_digests
-        and (own_server is not None or own_router is not None)
+        and own_server is not None
         and not config.serve.stateless
     ):
-        executor = (
-            own_server.batcher.executor
-            if own_server is not None
-            else None
-        )
         digest_checks, digest_mismatches = await _verify_digests(
-            config, clients[0], schedule, executor
+            config, clients[0], schedule, own_server.batcher.executor
         )
 
-    if own_router is not None:
-        stats = await own_router.stats()
-    elif own_server is not None:
-        stats = own_server.stats()
-    else:
-        stats = None
-    if own_router is not None:
-        await own_router.stop()
+    stats = own_server.stats() if own_server is not None else None
     if own_server is not None:
         await own_server.stop()
     for tcp_client in tcp_clients:
@@ -449,14 +367,10 @@ async def _run(config: LoadGenConfig) -> Dict[str, Any]:
         "clients": config.clients,
         "burst": config.burst,
         "open_loop": config.open_loop,
-        "shards": (
-            config.router_config().shards if config.sharded else 0
-        ),
         "ok": outcome["ok"],
         "ok_by_model": dict(sorted(outcome["ok_by_model"].items())),
         "sheds": outcome["shed"],
         "cached_responses": outcome["cached"],
-        "degraded_responses": outcome["degraded"],
         "errors_by_kind": error_counts,
         "wall_s": wall_s,
         "throughput_rps": outcome["ok"] / wall_s if wall_s > 0 else 0.0,

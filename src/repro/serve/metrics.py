@@ -5,8 +5,8 @@ Every serve event is recorded once, into a registry: each
 registry (:meth:`~repro.obs.registry.MetricsRegistry.child`), so the
 process snapshot still shows every server's counts.  :func:`serve_totals`
 reads the request, error, shed and batch totals back out of a
-registry snapshot -- one server's, or the shard router's merge of
-its workers' -- so both tiers report the block one way.
+registry snapshot: one server's for its ``stats`` payload, or the
+process registry's for a check that the two agree.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ generator) until drained.  The request path is::
          -> batcher (coalesce + deadline) -> PlanService (executor)
          -> encode -> line
 
-A ``plan`` that the local LRU already holds leaves that path right
-after admission: :meth:`PlanService.warm_plan` answers it on the event
-loop, since there is no work to coalesce and no reason to wait out the
-batch window.  Misses, ``no_cache`` requests, shared-tier lookups,
-stateless servers and reprices take the batcher.
+A ``plan`` that the LRU already holds leaves that path right after
+admission: :meth:`PlanService.warm_plan` answers it on the event loop,
+since there is no work to coalesce and no reason to wait out the batch
+window.  Misses, ``no_cache`` requests, stateless servers and reprices
+take the batcher.
 
 ``stats``, ``metrics`` and ``health`` bypass admission -- an
 overloaded server must still answer its monitoring.  Shutdown is graceful: the listener
@@ -71,11 +71,6 @@ class ServeConfig:
         default_deadline_s: deadline applied to requests that carry
             none (None = wait forever).
         drain_timeout_s: bound on the graceful-shutdown drain.
-        worker_id: shard identity when this server is one worker of a
-            :class:`~repro.serve.router.ShardRouter` (None when it is
-            the whole service).  Labels this worker's metrics and
-            rides on its ``stats`` payload so the router can aggregate
-            per-worker views.
         default_board: registry board the tier plans for when a
             request names none (None = the registry default, the
             STM32F767ZI).  Requests carrying ``params["board"]``
@@ -98,141 +93,17 @@ class ServeConfig:
     admission_tick_s: Optional[float] = None
     default_deadline_s: Optional[float] = None
     drain_timeout_s: float = 10.0
-    worker_id: Optional[int] = None
     default_board: Optional[str] = None
 
 
-class JsonLinesListener:
-    """Reusable asyncio TCP front end for JSON-lines endpoints.
-
-    Mixin shared by :class:`PlanServer` and the shard router: owns the
-    listener socket, per-connection reader loops and per-request
-    response tasks.  Subclasses provide ``handle_line(line) -> line``
-    and call :meth:`_init_listener` before :meth:`start`.
-    """
-
-    async def handle_line(self, line: str) -> str:
-        raise NotImplementedError
-
-    def _init_listener(
-        self, host: str, port: int, drain_timeout_s: float
-    ) -> None:
-        self._listen_host = host
-        self._listen_port = port
-        self._drain_timeout_s = drain_timeout_s
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._request_tasks: Set[asyncio.Task] = set()
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("server is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        if self._server is not None:
-            raise ReproError("server already started")
-        self._server = await asyncio.start_server(
-            self._on_client,
-            host=self._listen_host,
-            port=self._listen_port,
-        )
-
-    async def _on_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                request_task = asyncio.ensure_future(
-                    self._respond(text, writer, write_lock)
-                )
-                self._request_tasks.add(request_task)
-                request_task.add_done_callback(
-                    self._request_tasks.discard
-                )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # drain-cancel from stop(); close the socket and exit
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(
-        self,
-        line: str,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        response_line = await self.handle_line(line)
-        async with write_lock:
-            try:
-                writer.write(response_line.encode("utf-8") + b"\n")
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; the work still warmed caches
-
-    async def _drain_listener(self) -> None:
-        """Stop accepting, cancel readers, drain in-flight requests."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Reader loops block on readline indefinitely -- cancel them
-        # first; the in-flight *request* tasks are what drains.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        pending = {
-            task for task in self._request_tasks if not task.done()
-        }
-        if pending:
-            await asyncio.wait(
-                pending, timeout=self._drain_timeout_s
-            )
-            for task in pending:
-                if not task.done():
-                    task.cancel()
-        if self._conn_tasks:
-            await asyncio.wait(
-                set(self._conn_tasks), timeout=1.0
-            )
-        self._server = None
-
-
-class PlanServer(JsonLinesListener):
+class PlanServer:
     """One serving instance: state, endpoints, and the TCP front end.
 
     Args:
-        config: everything else.
-        shared_cache: optional cross-worker plan-cache tier handed to
-            the :class:`~repro.serve.service.PlanService` (shard
-            workers receive the router's manager-backed
-            :class:`~repro.serve.shared_cache.SharedCache`).
+        config: everything the instance is built from.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        shared_cache: Optional[Any] = None,
-    ):
+    def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         cfg = self.config
         # Every serve event is recorded once, here; the process
@@ -253,15 +124,8 @@ class PlanServer(JsonLinesListener):
             cache=self.cache,
             cache_enabled=cfg.cache_enabled and not cfg.stateless,
             solver=cfg.solver,
-            shared_cache=(
-                shared_cache if not cfg.stateless else None
-            ),
             **service_kwargs,
         )
-        if cfg.worker_id is not None:
-            self.registry.gauge_set(
-                "serve.worker_up", 1.0, worker=str(cfg.worker_id)
-            )
         bucket = None
         if cfg.rate_per_s is not None:
             time_fn = (
@@ -284,7 +148,9 @@ class PlanServer(JsonLinesListener):
             max_workers=cfg.workers,
             enabled=cfg.batch_enabled and not cfg.stateless,
         )
-        self._init_listener(cfg.host, cfg.port, cfg.drain_timeout_s)
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._conn_tasks: Set[asyncio.Task] = set()
+        self._request_tasks: Set[asyncio.Task] = set()
         self._draining = False
 
     # -- request handling --------------------------------------------------------
@@ -346,7 +212,7 @@ class PlanServer(JsonLinesListener):
         try:
             key, fn = self._planning_call(request)
             if key[0] == "plan" and key[-1]:
-                # A warm local-LRU hit has no work to coalesce: answer
+                # A warm LRU hit has no work to coalesce: answer
                 # it here, without the batch window or a thread hop.
                 _, model_name, qos_key, board, _ = key
                 hit = self.service.warm_plan(model_name, qos_key, board)
@@ -479,9 +345,8 @@ class PlanServer(JsonLinesListener):
 
         Unlike ``stats`` (the whole status payload) this returns the
         published registry snapshot alone, plus its canonical digest
-        -- the unit the shard router merges and the monitor CLI
-        tails.  ``params: {"format": "prom"}`` adds the Prometheus
-        text exposition.
+        -- the unit the monitor CLI tails.  ``params: {"format":
+        "prom"}`` adds the Prometheus text exposition.
         """
         fmt = (params or {}).get("format", "json")
         if fmt not in ("json", "prom"):
@@ -491,7 +356,6 @@ class PlanServer(JsonLinesListener):
         self.service.publish_registry()
         snapshot = get_registry().snapshot()
         result: Dict[str, Any] = {
-            "worker_id": self.config.worker_id,
             "registry": snapshot,
             "digest": snapshot_digest(snapshot),
         }
@@ -504,7 +368,6 @@ class PlanServer(JsonLinesListener):
         the process-wide obs registry (one coherent snapshot covering
         pipeline/fleet internals that happen off the request path)."""
         self.service.publish_registry()
-        shared = self.service.shared_cache
         own = self.registry.snapshot()
         depth = own["gauges"].get("serve.queue_depth", {}).get("", 0.0)
         metrics = {
@@ -523,10 +386,8 @@ class PlanServer(JsonLinesListener):
             },
         }
         return {
-            "worker_id": self.config.worker_id,
             "metrics": metrics,
             "cache": self.cache.stats(),
-            "shared_cache": shared.stats() if shared is not None else None,
             "registry": get_registry().snapshot(),
             "audit": get_audit_log().counts(),
             "admission": {
@@ -571,10 +432,98 @@ class PlanServer(JsonLinesListener):
 
     # -- TCP front end -----------------------------------------------------------
 
+    @property
+    def port(self) -> int:
+        """The bound TCP port (after :meth:`start`)."""
+        if self._server is None or not self._server.sockets:
+            raise ReproError("server is not listening")
+        return self._server.sockets[0].getsockname()[1]
+
+    async def start(self) -> None:
+        """Bind and start accepting connections."""
+        if self._server is not None:
+            raise ReproError("server already started")
+        self._server = await asyncio.start_server(
+            self._on_client,
+            host=self.config.host,
+            port=self.config.port,
+        )
+
+    async def _on_client(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+        write_lock = asyncio.Lock()
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                text = line.decode("utf-8", errors="replace").strip()
+                if not text:
+                    continue
+                request_task = asyncio.ensure_future(
+                    self._respond(text, writer, write_lock)
+                )
+                self._request_tasks.add(request_task)
+                request_task.add_done_callback(
+                    self._request_tasks.discard
+                )
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            pass  # drain-cancel from stop(); close the socket and exit
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _respond(
+        self,
+        line: str,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        response_line = await self.handle_line(line)
+        async with write_lock:
+            try:
+                writer.write(response_line.encode("utf-8") + b"\n")
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass  # client went away; the work still warmed caches
+
     async def stop(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, shut down."""
         self._draining = True
-        await self._drain_listener()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        # Reader loops block on readline indefinitely -- cancel them
+        # first; the in-flight *request* tasks are what drains.
+        for task in list(self._conn_tasks):
+            task.cancel()
+        pending = {
+            task for task in self._request_tasks if not task.done()
+        }
+        if pending:
+            await asyncio.wait(
+                pending, timeout=self.config.drain_timeout_s
+            )
+            for task in pending:
+                if not task.done():
+                    task.cancel()
+        if self._conn_tasks:
+            await asyncio.wait(
+                set(self._conn_tasks), timeout=1.0
+            )
+        self._server = None
         self.batcher.shutdown()
 
 

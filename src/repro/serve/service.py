@@ -41,7 +41,6 @@ from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..units import MHZ
 from .cache import PlanCache, plan_cache_key
 from .protocol import plan_digest
-from .shared_cache import request_key
 
 #: Models the service will plan for, by wire name.
 MODEL_REGISTRY: Dict[str, Callable[[], Model]] = {
@@ -105,9 +104,6 @@ class PlanService:
         solver: the pipeline's MCKP solver.
         max_front_store: recent (model, QoS) optimization results kept
             for the ``reprice`` endpoint.
-        shared_cache: optional cross-worker plan-cache tier consulted
-            on a local LRU miss and published to on every fresh plan
-            (see :mod:`repro.serve.shared_cache`).
     """
 
     def __init__(
@@ -117,12 +113,10 @@ class PlanService:
         cache_enabled: bool = True,
         solver: str = "dp",
         max_front_store: int = 32,
-        shared_cache: Optional[Any] = None,
     ):
         self.board_factory = board_factory
         self.cache = cache if cache is not None else PlanCache()
         self.cache_enabled = cache_enabled
-        self.shared_cache = shared_cache
         self.solver = solver
         self._group = BoardPlanningGroup(board_factory(), solver=solver)
         # Lazily-built planning groups for requests that select a
@@ -216,9 +210,8 @@ class PlanService:
         """Full plan-cache key: model + board + space + QoS identity.
 
         The board fingerprint (which embeds the board *name* alongside
-        its power/timing identity) keys both the local LRU and the
-        shared tier, so the same (model, QoS) planned for two boards
-        can never share an entry.
+        its power/timing identity) keys the LRU, so the same (model,
+        QoS) planned for two boards can never share an entry.
         """
         group = self._group_for(board_name)
         return plan_cache_key(
@@ -316,12 +309,12 @@ class PlanService:
         qos_key: Tuple,
         board_name: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
-        """A local-LRU hit answered without planning, or ``None``.
+        """An LRU hit answered without planning, or ``None``.
 
         Never blocks, so the server calls it on its event loop before
         batching: it builds no model or board (a name not yet resolved
-        has no cached plan), takes no lock a planner thread holds for
-        long, and skips the shared tier.  A hit counts, audits and
+        has no cached plan) and takes no lock a planner thread holds
+        for long.  A hit counts, audits and
         opens its ``serve.plan`` span as a hit inside :meth:`plan`
         does.  A miss counts nothing and opens no span; the
         :meth:`plan` call that follows does the counted lookup.
@@ -357,22 +350,6 @@ class PlanService:
                 cached = self.cache.get(key)
                 if cached is not None:
                     return self._hit(sp, model_name, qos_key, cached)
-                if self.shared_cache is not None:
-                    shared = self.shared_cache.lookup(key)
-                    if shared is not None:
-                        sp.set(cached=True, tier="shared")
-                        get_audit_log().record(
-                            "serve.cache",
-                            "shared_hit",
-                            model=model_name,
-                            qos=list(qos_key),
-                        )
-                        self.shared_cache.register_request(
-                            request_key(model_name, qos_key, board_name),
-                            shared["digest"],
-                        )
-                        shared = self.cache.put(key, shared)
-                        return {**shared, "cached": True}
             sp.set(cached=False)
             get_audit_log().record(
                 "serve.cache",
@@ -385,12 +362,6 @@ class PlanService:
             payload = self._payload(model_name, qos_key, result, board_name)
             if self.cache_enabled and use_cache:
                 payload = self.cache.put(key, payload)
-                if self.shared_cache is not None:
-                    self.shared_cache.publish(key, payload)
-                    self.shared_cache.register_request(
-                        request_key(model_name, qos_key, board_name),
-                        payload["digest"],
-                    )
             return {**payload, "cached": False}
 
     def plan_cold(

@@ -1,8 +1,8 @@
 """merge_snapshot algebra: lossless, order-independent, exact.
 
 The merge is the load-bearing primitive of fleet-coherent monitoring:
-the shard router's ``metrics``/``stats`` ops and the scenario resume
-splice all assume that merging per-worker snapshots is *exactly*
+the process registry's snapshot of its per-server children and the
+scenario resume splice both assume that merging snapshots is *exactly*
 additive (counters and histogram buckets), commutative, and
 associative.  The tests pin those algebraic properties byte-for-byte
 via :func:`snapshot_digest`, using dyadic-rational latencies so float
@@ -91,16 +91,16 @@ class TestMergeAlgebra:
         percentiles recomputed from them.
         """
         whole = MetricsRegistry()
-        shards = [MetricsRegistry(), MetricsRegistry()]
+        parts = [MetricsRegistry(), MetricsRegistry()]
         state = 99991
         for i in range(60):
             state = (1103515245 * state + 12345) % 2 ** 31
             op = ("plan", "reprice")[state % 2]
             value = DYADIC[state % len(DYADIC)]
-            for target in (whole, shards[i % 2]):
+            for target in (whole, parts[i % 2]):
                 target.count("serve.requests", op=op)
                 target.observe("serve.latency", value, op=op)
-        merged = merge_snapshot([s.snapshot() for s in shards])
+        merged = merge_snapshot([s.snapshot() for s in parts])
         assert snapshot_digest(merged) == snapshot_digest(
             whole.snapshot()
         )
@@ -116,28 +116,28 @@ class TestMergeAlgebra:
         assert cells["op=stats"] == 2
 
     def test_histogram_bucket_sums_are_exact(self):
-        shards = [seeded_registry(s) for s in (11, 12, 13)]
-        snaps = [s.snapshot() for s in shards]
+        parts = [seeded_registry(s) for s in (11, 12, 13)]
+        snaps = [s.snapshot() for s in parts]
         merged = merge_snapshot(snaps)
         for label, summary in merged["histograms"][
             "serve.latency"
         ].items():
-            per_shard = [
+            per_part = [
                 snap["histograms"]["serve.latency"].get(label)
                 for snap in snaps
             ]
-            per_shard = [s for s in per_shard if s is not None]
+            per_part = [s for s in per_part if s is not None]
             assert summary["count"] == sum(
-                s["count"] for s in per_shard
+                s["count"] for s in per_part
             )
             assert summary["sum_s"] == sum(
-                s["sum_s"] for s in per_shard
+                s["sum_s"] for s in per_part
             )
             merged_buckets = {
                 b["le"]: b["count"] for b in summary["buckets"]
             }
             expect: dict = {}
-            for s in per_shard:
+            for s in per_part:
                 for bucket in s["buckets"]:
                     expect[bucket["le"]] = (
                         expect.get(bucket["le"], 0) + bucket["count"]

@@ -7,7 +7,6 @@ config, see ``test_run_isolation.py``.)
 
 import pytest
 
-from repro.errors import ReproError
 from repro.recovery import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -88,13 +87,6 @@ class TestResumeParity:
 
 
 class TestCheckpointRestrictions:
-    def test_sharded_engine_refuses_to_checkpoint(self):
-        config = small_smoke()
-        config.shards = 2
-        engine = ScenarioEngine(config)
-        with pytest.raises(ReproError, match="shard"):
-            engine.checkpoint()
-
     def test_checkpoint_records_progress(self, tmp_path):
         path = tmp_path / "progress.ckpt"
         checkpoint_at(small_smoke(), 3, path)

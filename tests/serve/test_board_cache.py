@@ -1,20 +1,15 @@
 """Board-aware serve caching: no cross-board key collisions.
 
 The satellite guarantee: the same (model, QoS) planned for two boards
-must never share an LRU entry, a shared-tier entry, or a shard -- and
-default-board keys must stay byte-identical to the pre-registry wire
-format.
+must never share an LRU entry, and a default-board request keys the
+same entry as one that names no board.
 """
-
-import json
 
 import pytest
 
 from repro.errors import ReproError
 from repro.nn import build_tiny_test_model
-from repro.serve.router import shard_key
 from repro.serve.service import PlanService, board_from_params
-from repro.serve.shared_cache import SharedCache, request_key
 
 QK = ("percent", 30.0)
 
@@ -36,32 +31,6 @@ class TestKeySeparation:
         service = PlanService()
         assert service.cache_key(tiny, QK) == service.cache_key(
             tiny, QK, board_name=None
-        )
-
-    def test_request_keys_differ_per_board(self):
-        default = request_key("tiny", QK)
-        n6 = request_key("tiny", QK, board="nucleo-n657x0")
-        mcx = request_key("tiny", QK, board="frdm-mcxn947")
-        assert len({default, n6, mcx}) == 3
-
-    def test_default_request_key_keeps_wire_format(self):
-        """No board element -> pre-registry two-part JSON identity."""
-        assert request_key("tiny", QK) == json.dumps(
-            ["tiny", ["percent", "30.0"]], separators=(",", ":")
-        )
-
-    def test_shard_keys_differ_per_board(self):
-        base = {"model": "tiny", "qos_percent": 30.0}
-        default = shard_key(base)
-        n6 = shard_key({**base, "board": "nucleo-n657x0"})
-        mcx = shard_key({**base, "board": "frdm-mcxn947"})
-        assert len({default, n6, mcx}) == 3
-
-    def test_default_shard_key_keeps_wire_format(self):
-        assert shard_key(
-            {"model": "tiny", "qos_percent": 30.0}
-        ) == json.dumps(
-            ["tiny", ["qos_percent", "30.0"]], separators=(",", ":")
         )
 
 
@@ -102,35 +71,3 @@ class TestLruIsolation:
         assert "board" not in service.plan("tiny", QK)
         n6 = service.plan("tiny", QK, board_name="nucleo-n657x0")
         assert n6["board"] == "nucleo-n657x0"
-
-
-class TestSharedTierIsolation:
-    def test_boards_never_share_shared_tier_entries(self, tiny):
-        tier = SharedCache(capacity=16)
-        service = PlanService(shared_cache=tier)
-        default = service.plan("tiny", QK)
-        n6 = service.plan("tiny", QK, board_name="nucleo-n657x0")
-        stats = tier.stats()
-        assert stats["size"] == 2  # two distinct index entries
-        assert stats["payloads"] == 2  # two distinct digests
-        # A fresh worker on the same tier resolves each board to its
-        # own payload.
-        other = PlanService(shared_cache=tier)
-        assert other.plan("tiny", QK)["digest"] == default["digest"]
-        assert (
-            other.plan("tiny", QK, board_name="nucleo-n657x0")["digest"]
-            == n6["digest"]
-        )
-
-    def test_degraded_request_index_split_by_board(self, tiny):
-        tier = SharedCache(capacity=16)
-        service = PlanService(shared_cache=tier)
-        default = service.plan("tiny", QK)
-        n6 = service.plan("tiny", QK, board_name="nucleo-n657x0")
-        hit_default = tier.lookup_request(request_key("tiny", QK))
-        hit_n6 = tier.lookup_request(
-            request_key("tiny", QK, board="nucleo-n657x0")
-        )
-        assert hit_default["digest"] == default["digest"]
-        assert hit_n6["digest"] == n6["digest"]
-        assert hit_default["digest"] != hit_n6["digest"]

@@ -27,8 +27,8 @@ def make_server(**overrides) -> PlanServer:
 
 class TestRetryBudget:
     def test_default_is_fail_fast(self):
-        """retries=0 (the router's forwarding mode): one attempt, a
-        typed unavailable error, no sleeping."""
+        """retries=0: one attempt, a typed unavailable error, no
+        sleeping."""
 
         async def main():
             client = ServeClient("127.0.0.1", free_port())

@@ -1,10 +1,5 @@
-"""The ``metrics`` protocol op: per-worker registries and the merged
-fleet view.
-
-The class spawning real worker processes uses a single router scenario
-to keep spawn cost down; the acceptance pin lives in
-``test_merged_registry_is_the_exact_sum_of_worker_registries``.
-"""
+"""The ``metrics`` protocol op: the registry snapshot, its digest and
+the optional Prometheus exposition."""
 
 import asyncio
 
@@ -14,39 +9,11 @@ from repro.errors import ProtocolError
 from repro.obs.prom import lint_exposition
 from repro.obs.registry import snapshot_digest
 from repro.serve.client import InProcessClient
-from repro.serve.router import RouterConfig, ShardRouter
 from repro.serve.server import PlanServer, ServeConfig
-
-MIXED = [
-    ("tiny", 30.0),
-    ("tiny", 50.0),
-    ("tiny", 30.0),
-    ("tiny", 10.0),
-    ("tiny", 50.0),
-]
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-def counter_cells(snapshot):
-    """Flatten a snapshot's counters to {(family, label): value}."""
-    return {
-        (family, label): value
-        for family, cells in snapshot.get("counters", {}).items()
-        for label, value in cells.items()
-    }
-
-
-def bucket_cells(snapshot):
-    """Flatten histogram buckets to {(family, label, le): count}."""
-    return {
-        (family, label, bucket["le"]): bucket["count"]
-        for family, cells in snapshot.get("histograms", {}).items()
-        for label, summary in cells.items()
-        for bucket in summary["buckets"]
-    }
 
 
 class TestServerMetricsOp:
@@ -62,9 +29,7 @@ class TestServerMetricsOp:
 
     def test_payload_has_registry_and_matching_digest(self):
         async def scenario():
-            server = PlanServer(
-                ServeConfig(batch_window_s=0.001, worker_id=7)
-            )
+            server = PlanServer(ServeConfig(batch_window_s=0.001))
             client = InProcessClient(server, client_id="m")
             try:
                 await client.request(
@@ -75,7 +40,6 @@ class TestServerMetricsOp:
                 await server.stop()
 
         payload = run(scenario())
-        assert payload["worker_id"] == 7
         registry = payload["registry"]
         assert registry["counters"]["serve.requests"]["op=plan"] == 1
         assert payload["digest"] == snapshot_digest(registry)
@@ -110,111 +74,3 @@ class TestServerMetricsOp:
 
         with pytest.raises(ProtocolError):
             run(scenario())
-
-
-class TestRouterMetricsOp:
-    """One spawned 2-worker router exercises the whole fleet view."""
-
-    def test_merged_registry_is_the_exact_sum_of_worker_registries(
-        self,
-    ):
-        async def scenario():
-            router = ShardRouter(
-                RouterConfig(
-                    shards=2,
-                    serve=ServeConfig(batch_window_s=0.001),
-                )
-            )
-            await router.start()
-            try:
-                client = InProcessClient(router, client_id="t")
-                await asyncio.gather(
-                    *(
-                        client.request(
-                            "plan", model=model, qos_percent=qos
-                        )
-                        for model, qos in MIXED
-                    )
-                )
-                metrics = await client.request("metrics")
-                prom = await client.request(
-                    "metrics", format="prom"
-                )
-                stats = await router.stats()
-                return metrics, prom, stats
-            finally:
-                await router.stop()
-
-        metrics, prom, stats = run(scenario())
-
-        # The fleet payload: merged view, no single worker identity,
-        # per-worker digests for auditability.
-        assert metrics["worker_id"] is None
-        assert set(metrics["workers"]) == {"0", "1"}
-        assert metrics["digest"] == snapshot_digest(
-            metrics["registry"]
-        )
-        assert (
-            metrics["registry"]["counters"]["serve.requests"][
-                "op=plan"
-            ]
-            >= len(MIXED)
-        )
-
-        # THE ACCEPTANCE PIN: every merged counter cell and every
-        # histogram bucket equals the exact sum over the per-worker
-        # registries returned in the same stats response -- nothing
-        # lost, nothing invented, no float drift.
-        worker_snaps = [
-            w["registry"] for w in stats["workers"].values()
-        ]
-        assert len(worker_snaps) == 2
-        merged_counters = counter_cells(stats["registry"])
-        assert merged_counters  # the burst produced traffic
-        summed: dict = {}
-        for snap in worker_snaps:
-            for cell, value in counter_cells(snap).items():
-                summed[cell] = summed.get(cell, 0.0) + value
-        assert merged_counters == summed
-
-        merged_buckets = bucket_cells(stats["registry"])
-        expected_buckets: dict = {}
-        for snap in worker_snaps:
-            for cell, count in bucket_cells(snap).items():
-                expected_buckets[cell] = (
-                    expected_buckets.get(cell, 0) + count
-                )
-        assert merged_buckets == expected_buckets
-
-        # Histogram totals stay exact too, not just the buckets.
-        for family, cells in stats["registry"][
-            "histograms"
-        ].items():
-            for label, summary in cells.items():
-                per_worker = [
-                    snap["histograms"].get(family, {}).get(label)
-                    for snap in worker_snaps
-                ]
-                per_worker = [s for s in per_worker if s]
-                assert summary["count"] == sum(
-                    s["count"] for s in per_worker
-                )
-                assert summary["sum_s"] == sum(
-                    s["sum_s"] for s in per_worker
-                )
-
-        # Legacy totals are derived from the same merged registry.
-        assert stats["metrics"]["requests_total"] == sum(
-            cells.get("op=plan", 0)
-            + cells.get("op=stats", 0)
-            + cells.get("op=metrics", 0)
-            + cells.get("op=health", 0)
-            + cells.get("op=reprice", 0)
-            + cells.get("op=telemetry", 0)
-            for cells in [
-                stats["registry"]["counters"]["serve.requests"]
-            ]
-        )
-
-        # And the fleet exposition is valid Prometheus text.
-        assert lint_exposition(prom["exposition"]) == []

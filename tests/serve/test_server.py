@@ -14,7 +14,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
-from repro.serve.shared_cache import SharedCache
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -332,31 +332,6 @@ class TestWarmHitPath:
             return keys
 
         assert [k[0] for k in run(main())] == ["plan-cold", "plan-cold"]
-
-    def test_shared_tier_hit_goes_through_the_batcher(self):
-        async def main():
-            tier = SharedCache(capacity=16)
-            first = PlanServer(
-                ServeConfig(workers=2, batch_window_s=0.001), shared_cache=tier
-            )
-            second = PlanServer(
-                ServeConfig(workers=2, batch_window_s=0.001), shared_cache=tier
-            )
-            planned = await InProcessClient(first).request(
-                "plan", model="tiny", qos_percent=30
-            )
-            keys = record_submits(second)
-            shared = await InProcessClient(second).request(
-                "plan", model="tiny", qos_percent=30
-            )
-            await first.stop()
-            await second.stop()
-            return planned, shared, keys
-
-        planned, shared, keys = run(main())
-        assert [k[0] for k in keys] == ["plan"]
-        assert shared["cached"]
-        assert shared["digest"] == planned["digest"]
 
     def test_hit_sheds_on_full_queue(self):
         async def main():
