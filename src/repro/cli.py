@@ -41,9 +41,9 @@ the native line format, anything else for Chrome trace JSON (load it
 at https://ui.perfetto.dev).  In ``--json`` mode the payload gains a
 ``trace`` summary (path, span count, deterministic digest) *after* the
 core digest is computed, so tracing never perturbs a payload's own
-digest.  The trace digest is stable run to run only on serial paths
-(``plan``, ``crossboard``, ``fleet --serial``): pooled planning orders
-span ``seq`` by thread start.
+digest.  The trace digest is stable run to run wherever planning runs
+on the calling thread (``plan``, ``crossboard``, ``fleet``, ``chaos``);
+the serve tier's executor threads order span ``seq`` by thread start.
 
 ``--metrics PATH`` (plan / fleet / chaos / scenario / serve) writes
 the process's final metrics-registry snapshot to ``PATH`` as
@@ -591,10 +591,8 @@ def cmd_fleet(args: argparse.Namespace) -> Result:
     fleet = sample_fleet(
         args.devices, seed=args.seed, boards=(args.board or None)
     )
-    scheduler = FleetScheduler(
-        model, max_workers=args.workers, **_qos(args)
-    )
-    results = scheduler.run(fleet, pooled=not args.serial)
+    scheduler = FleetScheduler(model, **_qos(args))
+    results = scheduler.run(fleet)
     governed = {}
     if args.epochs > 0:
         config = GovernorConfig(epochs=args.epochs)
@@ -631,7 +629,6 @@ def cmd_chaos(args: argparse.Namespace) -> Result:
         devices=args.devices,
         seed=args.seed,
         epochs=args.epochs,
-        max_workers=args.workers,
         boards=tuple(args.board) if args.board else None,
     )
     report = run_campaign(model, fault_plan, config)
@@ -1322,13 +1319,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="root seed of the device-variation sampler",
     )
     p.add_argument(
-        "--workers", type=int, default=4, help="planning thread-pool width"
-    )
-    p.add_argument(
-        "--serial", action="store_true",
-        help="plan on the calling thread instead of the pool",
-    )
-    p.add_argument(
         "--epochs", type=int, default=10,
         help="governor telemetry epochs per device (0 disables)",
     )
@@ -1355,9 +1345,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epochs", type=int, default=4,
         help="governor telemetry epochs per device",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4, help="planning thread-pool width"
     )
     p.add_argument(
         "--hse-dropout-rate", type=float, default=0.02,

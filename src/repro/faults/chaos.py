@@ -10,7 +10,7 @@ failsafe operation** (retry stalls, HSI failsafe windows, watchdog
 replays) against the same device's nominal behaviour.
 
 Everything is deterministic: per-device fault streams are spawn-keyed
-by (device id, stage) so thread scheduling cannot shift a single
+by (device id, stage) so planning order cannot shift a single
 decision, and :meth:`ChaosReport.digest` hashes the full-precision
 rows -- two same-seed campaigns must produce byte-identical reports,
 which the CI chaos smoke job asserts.
@@ -40,7 +40,6 @@ class ChaosConfig:
             *fault* seed lives on the :class:`FaultPlan`).
         epochs: governor telemetry epochs per device.
         qos_slack: relative latency slack of the fleet's QoS level.
-        max_workers: planning thread-pool width.
         max_plan_attempts: scheduler retry budget per device.
         boards: registry board names to mix the fleet across
             (``None`` keeps the homogeneous default-board fleet and
@@ -51,7 +50,6 @@ class ChaosConfig:
     seed: int = 0
     epochs: int = 4
     qos_slack: float = 0.30
-    max_workers: int = 4
     max_plan_attempts: int = 3
     boards: Optional[Tuple[str, ...]] = None
 
@@ -62,8 +60,6 @@ class ChaosConfig:
             raise FaultInjectionError("epochs must be >= 1")
         if self.qos_slack < 0:
             raise FaultInjectionError("qos_slack must be >= 0")
-        if self.max_workers < 1:
-            raise FaultInjectionError("max_workers must be >= 1")
         if self.max_plan_attempts < 1:
             raise FaultInjectionError("max_plan_attempts must be >= 1")
         if self.boards is not None:
@@ -293,7 +289,7 @@ def run_campaign(
 ) -> ChaosReport:
     """Run one seeded chaos campaign and build the survival report.
 
-    Plans the fleet under planning-stage fault injection (pooled; the
+    Plans the fleet under planning-stage fault injection (the
     scheduler's retry/quarantine machinery handles the casualties),
     then supervises every planned device through governor epochs under
     its supervision-stage fault stream and once more fault-free for
@@ -333,11 +329,10 @@ def _run_campaign(
     scheduler = FleetScheduler(
         model,
         qos_level=level,
-        max_workers=config.max_workers,
         fault_plan=fault_plan,
         max_plan_attempts=config.max_plan_attempts,
     )
-    results = scheduler.run(fleet, pooled=True)
+    results = scheduler.run(fleet)
     gov_cfg = GovernorConfig(epochs=config.epochs)
     qos_s = 0.0
     rows: List[DeviceSurvival] = []
@@ -408,7 +403,6 @@ def _run_campaign(
             "seed": config.seed,
             "epochs": config.epochs,
             "qos_slack": config.qos_slack,
-            "max_workers": config.max_workers,
             "max_plan_attempts": config.max_plan_attempts,
         },
         rows=rows,

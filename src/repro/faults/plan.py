@@ -14,7 +14,7 @@ and brownouts dominating field measurement error.
 Every fault kind owns an independent child stream spawned from the
 plan's seed, so the decision sequence of one kind is invariant to how
 other kinds interleave with it -- two runs of the same seeded campaign
-make bit-identical decisions regardless of thread scheduling, which is
+make bit-identical decisions regardless of device order, which is
 what lets the chaos harness pin survival-report digests.
 
 Injection sites never import this module's consumers: the RCC, the
@@ -151,8 +151,8 @@ class FaultPlan:
         """Deterministic per-(device, stage) fault clock.
 
         The spawn key makes every clock independent of every other, so
-        a pooled fleet draws identical faults whatever order its
-        workers run in.
+        a fleet draws identical faults whatever order its devices are
+        planned in.
         """
         seq = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(device_id, stage)

@@ -2,7 +2,7 @@
 
 Scales the single-device pipeline to a heterogeneous population:
 seeded device variation (:mod:`.variation`), shared-timing pricing
-(:mod:`.pricing`), a worker-pool scheduler (:mod:`.scheduler`), an
+(:mod:`.pricing`), a fleet scheduler (:mod:`.scheduler`), an
 adaptive re-plan governor (:mod:`.governor`) and deterministic fleet
 aggregation (:mod:`.report`).
 """

@@ -38,11 +38,10 @@ moves power curves, not cycle counts; see
   the cache.  The entry lives per governor, not on the shared runtime,
   where never-reused fresh-QoS serve keys would pile up.
 
-The fleet-wide caches are single-flight :class:`~repro.memo.Memo`
-tables, so a thread pool of devices can hammer them concurrently: the
-first device to miss a key computes it, and every other device that
-asks meanwhile waits for that one result.  A pooled deploy therefore
-does exactly the work of a serial one.
+The fleet-wide caches are :class:`~repro.memo.Memo` tables: the first
+device to miss a key computes it, and every later device reuses that
+one result.  They are single-flight, so the serve tier's executor
+threads can share them too.
 """
 
 from __future__ import annotations

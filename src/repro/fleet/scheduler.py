@@ -1,19 +1,14 @@
-"""Fleet work-queue: fan the planning pipeline across a worker pool.
+"""Fleet planning: one pipeline per board, devices planned in order.
 
 The scheduler owns one fleet's shared pricing state (traces, time
 decompositions, replayed schedules -- see :mod:`repro.fleet.pricing`)
 and builds one :class:`~repro.pipeline.DAEDVFSPipeline` per distinct
-board fingerprint, wired into that shared state.  Devices then flow
-through a :class:`concurrent.futures.ThreadPoolExecutor`: every worker
-optimizes + deploys its device on the device's pipeline, and all
-cross-device reuse happens through single-flight caches
-(:class:`~repro.memo.Memo`).
-
-Two executions of the same fleet produce identical results, and do
-identical work, regardless of worker count or scheduling order:
-per-device computations are independent, each shared cache key is
-computed once (concurrent askers wait for it), and results are
-reported in device-id order.
+board fingerprint, wired into that shared state.  :meth:`FleetScheduler.run`
+then optimizes + deploys every device on the calling thread, in
+order, and all cross-device reuse happens through the shared caches
+(:class:`~repro.memo.Memo`): each shared key is computed once, by the
+first device that asks for it.  Results are reported in device-id
+order.
 
 The ``share=False`` mode prices every device from scratch on a private
 pipeline (the single-device cost, N times) -- the baseline
@@ -22,9 +17,7 @@ pipeline (the single-device cost, N times) -- the baseline
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,8 +36,7 @@ from ..mcu.board import Board, make_nucleo_f767zi
 from ..memo import Memo
 from ..nn.graph import Model
 from ..obs.audit import get_audit_log
-from ..obs.series import SeriesStore
-from ..obs.tracing import span, wrap
+from ..obs.tracing import span
 from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from .pricing import BoardPlanningGroup
@@ -106,14 +98,13 @@ class FleetScheduler:
             unit).
         trace_params: access-pattern constants.
         solver: forwarded to each device pipeline.
-        max_workers: thread-pool width for :meth:`run_pooled`.
         share: wire devices into the fleet-shared pricing state.  Off,
             every device pays the full single-device planning cost on
             a private pipeline (the unshared baseline).
         fault_plan: optional :class:`~repro.faults.plan.FaultPlan`;
             every device deploys under its own deterministic fault
-            stream (spawn-keyed by device id, so results are invariant
-            to worker scheduling).
+            stream (spawn-keyed by device id, so results do not depend
+            on the order devices are planned in).
         max_plan_attempts: planning attempts per device before it is
             quarantined.  Only transient hardware faults are retried.
         plan_backoff_s: base of the exponential backoff slept between
@@ -129,7 +120,6 @@ class FleetScheduler:
         base_board: Optional[Board] = None,
         trace_params: Optional[TraceParams] = None,
         solver: str = "dp",
-        max_workers: int = 4,
         share: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         max_plan_attempts: int = 3,
@@ -137,8 +127,6 @@ class FleetScheduler:
     ):
         if (qos_level is None) == (qos_s is None):
             raise ReproError("provide exactly one of qos_level or qos_s")
-        if max_workers < 1:
-            raise ReproError("max_workers must be >= 1")
         if max_plan_attempts < 1:
             raise ReproError("max_plan_attempts must be >= 1")
         if plan_backoff_s < 0:
@@ -149,15 +137,13 @@ class FleetScheduler:
         self.base_board = base_board or make_nucleo_f767zi()
         self.trace_params = trace_params
         self.solver = solver
-        self.max_workers = max_workers
         self.share = share
         self.fault_plan = fault_plan
         self.max_plan_attempts = max_plan_attempts
         self.plan_backoff_s = plan_backoff_s
         #: Device ids pulled from the fleet after exhausting retries
-        #: (sorted; stable across worker scheduling).
+        #: (sorted).
         self.quarantined: List[int] = []
-        self._quarantine_lock = threading.Lock()
         # Heterogeneous fleets carry several board targets; pricing
         # state only shares across devices of the *same* target, so
         # each board name gets its own planning group, whose anchor
@@ -236,7 +222,7 @@ class FleetScheduler:
         No exception escapes: a failure of *any* class -- ReproError or
         an unexpected bug in a device's models -- is captured as
         :attr:`DeviceResult.error` so one poisoned device cannot kill a
-        pooled fleet run.  Transient hardware faults
+        fleet run.  Transient hardware faults
         (:data:`TRANSIENT_ERRORS`) are retried with exponential backoff
         up to ``max_plan_attempts``; a device that exhausts its budget
         (or fails persistently under injection) is quarantined.
@@ -272,7 +258,7 @@ class FleetScheduler:
                 transient = True
                 if attempt < self.max_plan_attempts and self.plan_backoff_s:
                     time.sleep(self.plan_backoff_s * 2 ** (attempt - 1))
-            except Exception as err:  # noqa: BLE001 -- isolate the pool
+            except Exception as err:  # noqa: BLE001 -- isolate the device
                 last_error = f"{type(err).__name__}: {err}"
                 transient = False
                 break
@@ -280,9 +266,8 @@ class FleetScheduler:
         # pull the device out of the fleet.
         quarantined = fault_clock is not None or transient
         if quarantined:
-            with self._quarantine_lock:
-                self.quarantined.append(profile.device_id)
-                self.quarantined.sort()
+            self.quarantined.append(profile.device_id)
+            self.quarantined.sort()
             get_audit_log().record(
                 "fleet.scheduler",
                 "quarantine",
@@ -296,55 +281,8 @@ class FleetScheduler:
             quarantined=quarantined,
         )
 
-    def run_serial(
-        self,
-        profiles: Sequence[DeviceProfile],
-        series: Optional[SeriesStore] = None,
-    ) -> List[DeviceResult]:
-        """Plan every device on the calling thread, in order.
-
-        With ``series``, the registry is sampled after every planned
-        device at the *device index* timestamp -- the fleet path's
-        injectable clock is its own progress, never the wall clock --
-        so rollups over the series answer "how did cache hit rates
-        evolve as the fleet filled in", deterministically.
-        """
-        results = []
-        for index, profile in enumerate(profiles):
-            results.append(self.plan_device(profile))
-            if series is not None:
-                series.sample(float(index + 1))
+    def run(self, profiles: Sequence[DeviceProfile]) -> List[DeviceResult]:
+        """Plan every device on the calling thread; results in device order."""
+        results = [self.plan_device(profile) for profile in profiles]
         results.sort(key=lambda r: r.device_id)
         return results
-
-    def run_pooled(
-        self,
-        profiles: Sequence[DeviceProfile],
-        series: Optional[SeriesStore] = None,
-    ) -> List[DeviceResult]:
-        """Plan the fleet on the worker pool; results in device order.
-
-        A pooled run samples ``series`` only at the barrier: mid-pool
-        snapshots would order on thread scheduling, and a
-        scheduling-dependent series is exactly what the store exists
-        to rule out.
-        """
-        # wrap() carries the caller's span/correlation context into the
-        # worker threads (identity while tracing is off).
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            results = list(pool.map(wrap(self.plan_device), profiles))
-        results.sort(key=lambda r: r.device_id)
-        if series is not None:
-            series.sample(float(len(profiles)))
-        return results
-
-    def run(
-        self,
-        profiles: Sequence[DeviceProfile],
-        pooled: bool = True,
-        series: Optional[SeriesStore] = None,
-    ) -> List[DeviceResult]:
-        """Plan the fleet, pooled or serial."""
-        if pooled:
-            return self.run_pooled(profiles, series=series)
-        return self.run_serial(profiles, series=series)

@@ -8,8 +8,8 @@ temperatures and start from different battery states (Bartoli et al.
 change deployment rankings).  :func:`sample_fleet` draws that
 heterogeneity reproducibly: one root seed spawns an independent
 :class:`numpy.random.SeedSequence` per device, so device *k* of a
-1000-device fleet sees the same perturbations whether the fleet is
-sampled serially, pooled, or resampled tomorrow.
+1000-device fleet sees the same perturbations whatever order the fleet
+is planned in, or if it is resampled tomorrow.
 
 Deliberate modelling constraint: variation perturbs only the **power**
 side of the board -- static power, leakage, dynamic coefficients,

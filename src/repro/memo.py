@@ -1,8 +1,8 @@
 """Keyed single-flight memo: each key is computed once, even under threads.
 
-Every shared cache of Step-2 work is one :class:`Memo`, so a pooled
-fleet deploy does exactly the work, and makes exactly the calls, of a
-serial one.
+Every shared cache of Step-2 work is one :class:`Memo`, so the serve
+batcher's executor threads, sharing one pipeline, do exactly the work
+and make exactly the calls of one thread asking in turn.
 """
 
 from __future__ import annotations

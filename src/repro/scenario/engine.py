@@ -93,7 +93,6 @@ class ScenarioConfig:
             clairvoyant oracle (0 disables the gap metric).
         storm_threshold: replan intents in one tick that count the
             tick as a replan storm.
-        max_workers: planner thread-pool width for initial deployment.
         boards: registry names to mix the fleet across (devices are
             assigned round-robin-free from a dedicated seed stream, as
             :func:`repro.fleet.variation.sample_fleet` does).  ``None``
@@ -126,7 +125,6 @@ class ScenarioConfig:
     serve: Optional[ServeConfig] = None
     oracle_stride: int = 0
     storm_threshold: int = 10
-    max_workers: int = 4
     boards: Optional[Tuple[str, ...]] = None
     monitor: bool = True
     monitor_capacity: int = 256
@@ -307,11 +305,7 @@ class ScenarioEngine:
             if config.campaign is not None
             else None
         )
-        self.scheduler = FleetScheduler(
-            self.model,
-            qos_level=self.qos_level,
-            max_workers=config.max_workers,
-        )
+        self.scheduler = FleetScheduler(self.model, qos_level=self.qos_level)
         # Fleet pool: initial devices plus one pre-sampled profile per
         # scheduled JOIN.  SeedSequence.spawn is prefix-stable, so the
         # first ``devices`` profiles are bit-identical to a plain
@@ -414,7 +408,7 @@ class ScenarioEngine:
     def _deploy_initial_fleet(self) -> None:
         cfg = self.config
         initial = self.pool[: cfg.devices]
-        results = self.scheduler.run(initial, pooled=cfg.max_workers > 1)
+        results = self.scheduler.run(initial)
         for result in results:
             self._register_device(result, t_s=0.0)
         if cfg.oracle_stride > 0:

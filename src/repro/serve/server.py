@@ -534,15 +534,3 @@ def _drift_summary(entry: Dict[str, float]) -> Dict[str, float]:
         "mean_drift": entry["drift_sum"] / entry["count"],
         "max_abs_drift": entry["abs_drift_max"],
     }
-
-
-async def serve_forever(config: Optional[ServeConfig] = None) -> None:
-    """Run a server until cancelled (the ``repro-dvfs serve`` loop)."""
-    server = PlanServer(config)
-    await server.start()
-    try:
-        await asyncio.Event().wait()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()

@@ -72,12 +72,12 @@ def tiny():
 class TestNoFaultTransparency:
     def test_fleet_digest_matches_pre_fault_pin(self, tiny):
         # The exact scenario whose digest was recorded before this
-        # subsystem existed: 8 devices, seed 0, pooled planning at 30%
-        # slack, 3 governed epochs each.
+        # subsystem existed: 8 devices, seed 0, planning at 30% slack,
+        # 3 governed epochs each.
         level = QoSLevel(name="30%", slack=0.30)
         fleet = sample_fleet(8, seed=0)
-        scheduler = FleetScheduler(tiny, qos_level=level, max_workers=4)
-        results = scheduler.run(fleet, pooled=True)
+        scheduler = FleetScheduler(tiny, qos_level=level)
+        results = scheduler.run(fleet)
         cfg = GovernorConfig(epochs=3)
         governed = {
             r.device_id: supervise_device(
@@ -171,7 +171,6 @@ class TestConfigValidation:
             {"devices": 0},
             {"epochs": 0},
             {"qos_slack": -0.1},
-            {"max_workers": 0},
             {"max_plan_attempts": 0},
         ],
     )

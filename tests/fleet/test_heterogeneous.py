@@ -59,12 +59,10 @@ class TestSchedulingAndReport:
     def test_heterogeneous_run_deterministic(self, tiny):
         level = QoSLevel(name="30%", slack=0.30)
         digests = []
-        for pooled in (True, False):
+        for _ in range(2):
             fleet = sample_fleet(6, seed=3, boards=list(MIX))
-            scheduler = FleetScheduler(
-                tiny, qos_level=level, max_workers=3
-            )
-            results = scheduler.run(fleet, pooled=pooled)
+            scheduler = FleetScheduler(tiny, qos_level=level)
+            results = scheduler.run(fleet)
             qos_s = next(
                 r.optimized.qos_s for r in results if r.error is None
             )
@@ -75,8 +73,8 @@ class TestSchedulingAndReport:
     def test_report_carries_board_histogram(self, tiny):
         level = QoSLevel(name="30%", slack=0.30)
         fleet = sample_fleet(6, seed=3, boards=list(MIX))
-        scheduler = FleetScheduler(tiny, qos_level=level, max_workers=3)
-        results = scheduler.run(fleet, pooled=True)
+        scheduler = FleetScheduler(tiny, qos_level=level)
+        results = scheduler.run(fleet)
         qos_s = next(
             r.optimized.qos_s for r in results if r.error is None
         )
@@ -92,8 +90,8 @@ class TestSchedulingAndReport:
     def test_homogeneous_report_shape_unchanged(self, tiny):
         level = QoSLevel(name="30%", slack=0.30)
         fleet = sample_fleet(3, seed=0)
-        scheduler = FleetScheduler(tiny, qos_level=level, max_workers=2)
-        results = scheduler.run(fleet, pooled=True)
+        scheduler = FleetScheduler(tiny, qos_level=level)
+        results = scheduler.run(fleet)
         qos_s = next(
             r.optimized.qos_s for r in results if r.error is None
         )

@@ -26,7 +26,7 @@ def tiny():
 def fleet_run(tiny):
     fleet = sample_fleet(5, seed=2)
     scheduler = FleetScheduler(tiny, qos_level=MODERATE)
-    results = scheduler.run(fleet, pooled=True)
+    results = scheduler.run(fleet)
     config = GovernorConfig(epochs=4)
     governed = {
         r.device_id: supervise_device(
@@ -141,11 +141,3 @@ class TestCliFleet:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
-
-    def test_serial_matches_pooled(self, capsys):
-        base = ["fleet", "--devices", "4", "--seed", "2", "--epochs", "0"]
-        assert main(base) == 0
-        pooled = capsys.readouterr().out
-        assert main(base + ["--serial"]) == 0
-        serial = capsys.readouterr().out
-        assert pooled == serial

@@ -1,13 +1,9 @@
-"""Fleet scheduler: pooled/serial/shared equivalence, cache reuse."""
+"""Fleet scheduler: shared/private equivalence, cache reuse, one thread."""
 
 import threading
-import time
-from collections import Counter
 
 import pytest
 
-from repro.dse.explorer import LayerCostModel
-from repro.engine.cost import TraceBuilder
 from repro.errors import ReproError
 from repro.fleet import FleetScheduler, sample_fleet
 from repro.nn import build_tiny_test_model
@@ -24,11 +20,8 @@ def fleet():
     return sample_fleet(6, seed=3)
 
 
-def run_results(tiny, fleet, share, pooled, max_workers=4):
-    scheduler = FleetScheduler(
-        tiny, qos_level=MODERATE, share=share, max_workers=max_workers
-    )
-    return scheduler.run(fleet, pooled=pooled)
+def run_results(tiny, fleet, share):
+    return FleetScheduler(tiny, qos_level=MODERATE, share=share).run(fleet)
 
 
 def assert_result_lists_identical(a, b):
@@ -43,29 +36,35 @@ def assert_result_lists_identical(a, b):
 
 
 class TestEquivalence:
-    def test_pooled_equals_serial(self, tiny, fleet):
-        pooled = run_results(tiny, fleet, share=True, pooled=True)
-        serial = run_results(tiny, fleet, share=True, pooled=False)
-        assert_result_lists_identical(pooled, serial)
-
     def test_shared_equals_private(self, tiny, fleet):
         # The whole point of the fleet caches: sharing timing across
         # devices must not move a single bit of any device's result.
-        shared = run_results(tiny, fleet, share=True, pooled=False)
-        private = run_results(tiny, fleet, share=False, pooled=False)
+        shared = run_results(tiny, fleet, share=True)
+        private = run_results(tiny, fleet, share=False)
         assert_result_lists_identical(shared, private)
 
-    def test_worker_count_does_not_matter(self, tiny, fleet):
-        two = run_results(tiny, fleet, share=True, pooled=True, max_workers=2)
-        eight = run_results(
-            tiny, fleet, share=True, pooled=True, max_workers=8
-        )
-        assert_result_lists_identical(two, eight)
-
     def test_results_sorted_by_device_id(self, tiny, fleet):
-        results = run_results(tiny, fleet, share=True, pooled=True)
+        results = run_results(tiny, fleet[::-1], share=True)
         ids = [r.device_id for r in results]
         assert ids == sorted(ids)
+
+    def test_plans_on_the_calling_thread(self, tiny, fleet, monkeypatch):
+        # One execution path: every device is planned in order on the
+        # caller's thread, and no thread is started for the run.
+        planned = []
+        real = FleetScheduler.plan_device
+
+        def recorded(self, profile):
+            planned.append((profile.device_id, threading.get_ident()))
+            return real(self, profile)
+
+        monkeypatch.setattr(FleetScheduler, "plan_device", recorded)
+        before = threading.active_count()
+        FleetScheduler(tiny, qos_level=MODERATE).run(fleet)
+        assert threading.active_count() == before
+        assert planned == [
+            (p.device_id, threading.get_ident()) for p in fleet
+        ]
 
 
 class TestSharing:
@@ -85,7 +84,7 @@ class TestSharing:
 
     def test_fleet_shares_one_trace_cache(self, tiny, fleet):
         scheduler = FleetScheduler(tiny, qos_level=MODERATE)
-        scheduler.run(fleet, pooled=False)
+        scheduler.run(fleet)
         # Every device's explorer and runtime point at the same tracer.
         tracers = {
             id(scheduler.pipeline_for(p).explorer.tracer) for p in fleet
@@ -133,57 +132,10 @@ class TestSharing:
             assert r.qos_s == reference.qos_s
 
 
-class TestPooledWork:
-    @staticmethod
-    def deploy_counts(monkeypatch, pooled):
-        """Calls per trace key and per decomposition key of one deploy.
-
-        Each counted call sleeps 1 ms, which widens any window in which
-        two workers could both miss one shared key.
-        """
-        traces, decompositions = Counter(), Counter()
-        lock = threading.Lock()
-        build = TraceBuilder._build_uncached
-        decompose = LayerCostModel.time_components_batch
-
-        def counted_build(self, model, node, granularity):
-            g = granularity if node.layer.supports_dae else 0
-            with lock:
-                traces[(model.name, node.node_id, g)] += 1
-            time.sleep(0.001)
-            return build(self, model, node, granularity)
-
-        def counted_decompose(self, trace, hfos, lfo, assume_relock=False):
-            key = (trace.node_id, trace.granularity, assume_relock)
-            with lock:
-                decompositions[key] += 1
-            time.sleep(0.001)
-            return decompose(self, trace, hfos, lfo, assume_relock)
-
-        monkeypatch.setattr(TraceBuilder, "_build_uncached", counted_build)
-        monkeypatch.setattr(
-            LayerCostModel, "time_components_batch", counted_decompose
-        )
-        scheduler = FleetScheduler(
-            build_tiny_test_model(), qos_level=MODERATE, max_workers=4
-        )
-        results = scheduler.run(sample_fleet(8, seed=3), pooled=pooled)
-        assert all(r.error is None for r in results)
-        monkeypatch.undo()
-        return traces, decompositions
-
-    def test_pooled_deploy_does_serial_work(self, monkeypatch):
-        serial = self.deploy_counts(monkeypatch, pooled=False)
-        pooled = self.deploy_counts(monkeypatch, pooled=True)
-        for serial_calls, pooled_calls in zip(serial, pooled):
-            assert serial_calls and set(serial_calls.values()) == {1}
-            assert pooled_calls == serial_calls
-
-
 class TestErrors:
     def test_infeasible_device_captured_not_raised(self, tiny, fleet):
         scheduler = FleetScheduler(tiny, qos_s=1e-9)
-        results = scheduler.run(fleet, pooled=True)
+        results = scheduler.run(fleet)
         assert len(results) == len(fleet)
         for r in results:
             assert r.error is not None
@@ -195,10 +147,6 @@ class TestErrors:
         with pytest.raises(ReproError):
             FleetScheduler(tiny)
 
-    def test_bad_worker_count_rejected(self, tiny):
-        with pytest.raises(ReproError):
-            FleetScheduler(tiny, qos_level=MODERATE, max_workers=0)
-
 
 class TestFaultIsolation:
     def test_poisoned_device_cannot_kill_pooled_run(
@@ -206,7 +154,7 @@ class TestFaultIsolation:
     ):
         # A non-ReproError bug in one device's models is captured as
         # DeviceResult.error; the rest of the fleet plans normally.
-        scheduler = FleetScheduler(tiny, qos_level=MODERATE, max_workers=4)
+        scheduler = FleetScheduler(tiny, qos_level=MODERATE)
         poisoned_id = fleet[2].device_id
         real = FleetScheduler.pipeline_for
 
@@ -216,7 +164,7 @@ class TestFaultIsolation:
             return real(self, profile)
 
         monkeypatch.setattr(FleetScheduler, "pipeline_for", poisoned)
-        results = scheduler.run(fleet, pooled=True)
+        results = scheduler.run(fleet)
         assert len(results) == len(fleet)
         by_id = {r.device_id: r for r in results}
         bad = by_id[poisoned_id]
@@ -256,7 +204,7 @@ class TestFaultIsolation:
             tiny, qos_level=MODERATE, fault_plan=FaultPlan()
         )
         assert_result_lists_identical(
-            plain.run(fleet, pooled=False), hardened.run(fleet, pooled=False)
+            plain.run(fleet), hardened.run(fleet)
         )
         assert hardened.quarantined == []
 
@@ -266,38 +214,3 @@ class TestFaultIsolation:
         with pytest.raises(ReproError):
             FleetScheduler(tiny, qos_level=MODERATE, plan_backoff_s=-1.0)
 
-
-class TestSeriesHook:
-    """The monitor hook: schedulers feed a SeriesStore as they go."""
-
-    def test_serial_samples_once_per_device(self, tiny, fleet):
-        from repro.obs.series import SeriesStore
-
-        store = SeriesStore(capacity=16)
-        scheduler = FleetScheduler(tiny, qos_level=MODERATE)
-        results = scheduler.run(fleet, pooled=False, series=store)
-        assert len(results) == len(fleet)
-        assert len(store) == len(fleet)
-        # Device index is the injected clock: no wall time anywhere.
-        assert store.latest()[0] == float(len(fleet))
-
-    def test_pooled_samples_at_the_barrier(self, tiny, fleet):
-        from repro.obs.series import SeriesStore
-
-        store = SeriesStore(capacity=16)
-        scheduler = FleetScheduler(tiny, qos_level=MODERATE, max_workers=4)
-        scheduler.run(fleet, pooled=True, series=store)
-        assert len(store) == 1
-        assert store.latest()[0] == float(len(fleet))
-
-    def test_series_is_optional_and_results_identical(self, tiny, fleet):
-        from repro.obs.series import SeriesStore
-
-        store = SeriesStore(capacity=16)
-        with_series = FleetScheduler(tiny, qos_level=MODERATE).run(
-            fleet, pooled=False, series=store
-        )
-        without = FleetScheduler(tiny, qos_level=MODERATE).run(
-            fleet, pooled=False
-        )
-        assert_result_lists_identical(with_series, without)

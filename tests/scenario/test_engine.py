@@ -67,8 +67,8 @@ class TestZeroEventPin:
 
         model = build_tiny_test_model()
         qos_level = QoSLevel(name="30%", slack=0.3)
-        scheduler = FleetScheduler(model, qos_level=qos_level, max_workers=4)
-        results = scheduler.run(sample_fleet(devices, seed=seed), pooled=True)
+        scheduler = FleetScheduler(model, qos_level=qos_level)
+        results = scheduler.run(sample_fleet(devices, seed=seed))
         config = GovernorConfig(epochs=epochs)
         governed = {
             r.profile.device_id: supervise_device(

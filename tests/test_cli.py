@@ -377,7 +377,7 @@ class TestQoSFlagsHonoured:
 
     def test_fleet_qos_ms_sets_budget(self, capsys):
         code = main(
-            ["fleet", "--devices", "2", "--epochs", "0", "--serial",
+            ["fleet", "--devices", "2", "--epochs", "0",
              "--qos-ms", "2.0", "--json"]
         )
         assert code == 0

@@ -1,9 +1,11 @@
-"""CLI surface pins: ``--json`` payloads and serial trace digests.
+"""CLI surface pins: ``--json`` payloads and trace digests.
 
 Each payload is hashed as canonical JSON (sorted keys) with the
 ``trace``/``metrics`` summaries removed -- those carry file paths and
-ride outside the core payload.  The trace digests pin the serial
-paths only: pooled planning orders span ``seq`` by thread start.
+ride outside the core payload.  The trace digests pin the commands
+that run on the calling thread only (``fleet`` and ``chaos`` plan
+every device in order there); the serve tier's executor threads order
+span ``seq`` by thread start.
 """
 
 import hashlib
@@ -52,8 +54,12 @@ PAYLOAD_PINS = {
         "b491fd874eac44647aa11d29e7233272a47f328575fc03f8a32a28543951e276",
     ),
     "fleet": (
-        ["fleet", "--devices", "4", "--epochs", "2", "--serial"],
+        ["fleet", "--devices", "4", "--epochs", "2"],
         "767a2f597486c26fdb57f02fb758eedd9884c2876dd5554051b96032a9d8893e",
+    ),
+    "chaos": (
+        ["chaos", "--devices", "8"],
+        "2e486f8f7fe9a95bc30f2d1a122a074ad8288e684c568216cc828eff667a37d2",
     ),
 }
 
@@ -70,6 +76,10 @@ TRACE_PINS = {
     "fleet": (
         ["--trace", "--metrics"],
         "69bb6f5d4c8bf53006ab64b3f8fb7d30fe98b0128a272c717762ce251b76a6ac",
+    ),
+    "chaos": (
+        ["--trace", "--metrics"],
+        "6bfd4bc5172272a69ffdb4f92d837a79ae8d7f198007acff12736a6eeac0db88",
     ),
 }
 
