@@ -97,8 +97,30 @@ def model_fingerprint(model: Model) -> Tuple:
     return fingerprint
 
 
+class _Fingerprint(tuple):
+    """A model fingerprint that hashes once.
+
+    Equal to (and hashing like) the plain tuple of its items, so every
+    cache key behaves as before; the hash is computed at construction
+    because a fingerprint is hashed at every Step-2 memo lookup.
+    """
+
+    def __new__(cls, items) -> "_Fingerprint":
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process: pickle the plain tuple,
+        # never the cached hash.
+        return tuple, (tuple(self),)
+
+
 def _compute_fingerprint(model: Model) -> Tuple:
-    return (
+    return _Fingerprint((
         model.name,
         model.input_shape,
         tuple(
@@ -111,7 +133,7 @@ def _compute_fingerprint(model: Model) -> Tuple:
             )
             for node in model.nodes
         ),
-    )
+    ))
 
 
 @dataclass(frozen=True)

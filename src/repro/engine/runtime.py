@@ -23,13 +23,14 @@ from ..clock.configs import ClockConfig, SysclkSource
 from ..clock.rcc import RCC
 from ..errors import TraceError, WatchdogResetError
 from ..mcu.board import Board
+from ..memo import Memo
 from ..nn.graph import Model
 from ..nn.layers.base import LayerKind
 from ..obs.registry import get_registry
 from ..power.energy import EnergyAccount, EnergyCategory
 from ..power.model import PowerState
-from .cost import TraceBuilder, TraceParams
-from .schedule import DeploymentPlan
+from .cost import TraceBuilder, TraceParams, model_fingerprint
+from .schedule import DeploymentPlan, plan_signature
 from .trace import LayerTrace, Segment, SegmentKind
 
 
@@ -140,6 +141,17 @@ class InferenceReport:
 class DVFSRuntime:
     """Executes deployment plans against one board description.
 
+    A fault-free execution depends only on the model's structure, the
+    plan's schedulable decisions (:func:`plan_signature`), the start
+    clock and the board, so the runtime executes each such key once:
+    it records the run without a QoS window, and every later
+    :meth:`run` of the key windows that record through :meth:`window`,
+    while :meth:`measure_latency_s` reads its latency.  Callers always
+    receive a copy, never the recorded report.  The key embeds
+    ``board.fingerprint()``, so replacing a board component
+    (``board.power_model = ...``) misses; after mutating one in place,
+    call :meth:`clear_cache`.  Fault-injected runs execute every time.
+
     Args:
         board: the simulated board (clocking, power, timing models).
         trace_params: access-pattern constants for the cost model.
@@ -156,6 +168,14 @@ class DVFSRuntime:
     ):
         self.board = board
         self.tracer = tracer or TraceBuilder(board, trace_params)
+        # Recorded executions; single-flight because the serve
+        # batcher's threads share one pipeline, and with it this
+        # runtime.  No registry family: the records are private.
+        self._records = Memo()
+
+    def clear_cache(self) -> None:
+        """Drop every recorded execution (after in-place board edits)."""
+        self._records.clear()
 
     # -- public API -----------------------------------------------------------
 
@@ -205,6 +225,50 @@ class DVFSRuntime:
             WatchdogResetError: no forward progress at one layer.
             ClockSwitchError: the PLL exhausted its lock-retry budget.
         """
+        if fault_clock is None:
+            record = replace(
+                self._record_for(model, plan, initial_config), plan=plan
+            )
+        else:
+            record = self._execute(model, plan, initial_config, fault_clock)
+        if qos_s is None:
+            # ``window`` copies the ledger and the layer reports itself;
+            # a windowless run needs the same copy, so no caller can
+            # reach the recorded report.
+            return replace(
+                record,
+                account=EnergyAccount(list(record.account.intervals)),
+                layer_reports=[replace(r) for r in record.layer_reports],
+            )
+        if idle_policy is None:
+            idle_policy = IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
+        return self.window(record, qos_s, idle_policy)
+
+    def _record_for(
+        self,
+        model: Model,
+        plan: DeploymentPlan,
+        initial_config: Optional[ClockConfig],
+    ) -> InferenceReport:
+        """The recorded fault-free, windowless run of ``plan``."""
+        key = (
+            model_fingerprint(model),
+            plan_signature(plan),
+            initial_config or plan.lfo,
+            self.board.fingerprint(),
+        )
+        return self._records.get(
+            key, self._execute, model, plan, initial_config, None
+        )
+
+    def _execute(
+        self,
+        model: Model,
+        plan: DeploymentPlan,
+        initial_config: Optional[ClockConfig],
+        fault_clock,
+    ) -> InferenceReport:
+        """Execute ``plan`` on the engine; no QoS window is charged."""
         plan.validate_against(model)
         boot = initial_config or plan.lfo
         rcc = self._make_rcc(boot, fault_clock)
@@ -221,8 +285,8 @@ class DVFSRuntime:
         mux_switches = 0
         # Background re-locks are tallied locally (not on self) so one
         # runtime instance can execute plans from several threads --
-        # the fleet worker pool shares pipelines, and with them this
-        # runtime, across devices whose boards fingerprint equal.
+        # the serve batcher's threads share one pipeline, and with it
+        # this runtime.
         background_relocks = 0
         css_events = 0
         pll_retries = 0
@@ -306,7 +370,7 @@ class DVFSRuntime:
                 )
 
         inference_energy = account.total_energy_j
-        record = InferenceReport(
+        return InferenceReport(
             model_name=model.name,
             plan=plan,
             latency_s=account.total_time_s,
@@ -321,11 +385,6 @@ class DVFSRuntime:
             pll_retries=pll_retries,
             final_config=rcc.current,
         )
-        if qos_s is None:
-            return record
-        if idle_policy is None:
-            idle_policy = IdlePolicy.GATED if idle_gated else IdlePolicy.HOT
-        return self.window(record, qos_s, idle_policy)
 
     def window(
         self,
@@ -361,14 +420,13 @@ class DVFSRuntime:
     ) -> float:
         """Inference-window latency of ``plan`` (no QoS idle charged).
 
-        Exactly ``run(...).latency_s``; a separate entry point so
-        runtimes that can answer from a recorded schedule (the fleet's
+        Exactly ``run(...).latency_s``, read straight from the recorded
+        execution: no ledger is copied or windowed, and runtimes that
+        re-price records (the fleet's
         :class:`~repro.fleet.pricing.ReplayingRuntime`) skip the
         energy re-pricing when the caller only wants the timing side.
         """
-        return self.run(
-            model, plan, initial_config=initial_config
-        ).latency_s
+        return self._record_for(model, plan, initial_config).latency_s
 
     def _make_rcc(self, boot: ClockConfig, fault_clock) -> RCC:
         """Fresh clock controller inheriting the board's descriptors.

@@ -10,7 +10,7 @@ memory-bound segments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..clock.configs import ClockConfig, lfo_config
 from ..errors import GraphError
@@ -99,6 +99,25 @@ class DeploymentPlan:
         for node_id in self.layer_plans:
             if node_id not in valid_ids:
                 raise GraphError(f"plan references unknown node {node_id}")
+
+
+def plan_signature(plan: DeploymentPlan) -> Tuple:
+    """Hashable identity of a plan's schedulable decisions.
+
+    Two plans with equal signatures execute the identical interval
+    schedule (durations, configs, states), whatever board they price
+    on -- the key of the runtimes' recorded executions.
+    """
+    return (
+        plan.model_name,
+        plan.lfo,
+        tuple(
+            sorted(
+                (node_id, lp.granularity, lp.hfo)
+                for node_id, lp in plan.layer_plans.items()
+            )
+        ),
+    )
 
 
 def uniform_plan(

@@ -95,6 +95,10 @@ class TinyEngine:
         """Latency of one inference (no QoS window)."""
         return self.run(model).latency_s
 
+    def clear_cache(self) -> None:
+        """Drop the runtime's recorded executions."""
+        self._runtime.clear_cache()
+
 
 class TinyEngineClockGated(TinyEngine):
     """TinyEngine with clock-gated post-inference idling."""

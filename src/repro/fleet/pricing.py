@@ -60,7 +60,7 @@ from ..dse.explorer import (
 from ..dse.space import DesignSpace, board_design_space
 from ..engine.cost import TraceBuilder, TraceParams, model_fingerprint
 from ..engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
-from ..engine.schedule import DeploymentPlan, LayerPlan
+from ..engine.schedule import DeploymentPlan, LayerPlan, plan_signature
 from ..errors import TraceError
 from ..mcu.board import Board
 from ..memo import Memo
@@ -80,25 +80,6 @@ LEAKY_STATES = frozenset(
         PowerState.SWITCHING,
     }
 )
-
-
-def plan_signature(plan: DeploymentPlan) -> Tuple:
-    """Hashable identity of a plan's schedulable decisions.
-
-    Two plans with equal signatures execute the identical interval
-    schedule (durations, configs, states), whatever board they price
-    on -- the replay-cache key.
-    """
-    return (
-        plan.model_name,
-        plan.lfo,
-        tuple(
-            sorted(
-                (node_id, lp.granularity, lp.hfo)
-                for node_id, lp in plan.layer_plans.items()
-            )
-        ),
-    )
 
 
 class FleetSharedState:
@@ -234,15 +215,18 @@ class SharedComponentExplorer(DSEExplorer):
 class ReplayingRuntime(DVFSRuntime):
     """Runtime that executes each distinct plan once fleet-wide.
 
-    The first run of a (model, plan, initial config) triple executes
-    on the real engine (without a QoS window) and records the tagged
-    interval schedule in the shared state.  Every later run -- on any
-    device -- re-prices the recorded (duration, config, state) triples
-    under its own power model, then charges the QoS window through the
-    inherited :meth:`~repro.engine.runtime.DVFSRuntime.window`, at the
-    record's ``final_config`` (the clock the direct run ends on, also
-    after an NPU segment).  Durations, latencies and switch counts are
-    shared; only the watts differ.
+    Where the base runtime keeps its records per board (keyed by the
+    board fingerprint), this one keys them by timing alone and keeps
+    them in the shared state.  The first run of a (model, plan,
+    initial config) triple executes on the real engine (without a QoS
+    window) and records the tagged interval schedule.  Every later run
+    -- on any device -- re-prices the recorded (duration, config,
+    state) triples under its own power model, then charges the QoS
+    window through the inherited
+    :meth:`~repro.engine.runtime.DVFSRuntime.window`, at the record's
+    ``final_config`` (the clock the direct run ends on, also after an
+    NPU segment).  Durations, latencies and switch counts are shared;
+    only the watts differ.
     """
 
     def __init__(
@@ -266,10 +250,7 @@ class ReplayingRuntime(DVFSRuntime):
             initial_config or plan.lfo,
         )
         return self._shared.replays.get(
-            key,
-            lambda: super(ReplayingRuntime, self).run(
-                model, plan, qos_s=None, initial_config=initial_config
-            ),
+            key, self._execute, model, plan, initial_config, None
         )
 
     def run(
@@ -302,7 +283,9 @@ class ReplayingRuntime(DVFSRuntime):
         initial_config: Optional[ClockConfig] = None,
     ) -> float:
         # Latency is timing-only, hence fleet-shared: answer straight
-        # from the record without re-pricing a single interval.
+        # from the shared record without re-pricing a single interval.
+        # Defined here, not inherited, so the fleet's latency queries
+        # stay a method of this class (perfbench wraps it by name).
         return self._record_for(model, plan, initial_config).latency_s
 
     def _reprice(

@@ -142,7 +142,7 @@ class FleetScheduler:
         self.max_plan_attempts = max_plan_attempts
         self.plan_backoff_s = plan_backoff_s
         #: Device ids pulled from the fleet after exhausting retries
-        #: (sorted).
+        #: (sorted, each once however many runs quarantined it).
         self.quarantined: List[int] = []
         # Heterogeneous fleets carry several board targets; pricing
         # state only shares across devices of the *same* target, so
@@ -266,8 +266,9 @@ class FleetScheduler:
         # pull the device out of the fleet.
         quarantined = fault_clock is not None or transient
         if quarantined:
-            self.quarantined.append(profile.device_id)
-            self.quarantined.sort()
+            if profile.device_id not in self.quarantined:
+                self.quarantined.append(profile.device_id)
+                self.quarantined.sort()
             get_audit_log().record(
                 "fleet.scheduler",
                 "quarantine",

@@ -234,6 +234,9 @@ def _solve_mckp_dp(
     dp = np.full(n_states, inf)
     dp[0] = 0.0
     choices: List[np.ndarray] = []
+    # Scratch rows for one item's candidates, reused across items.
+    candidate = np.empty(n_states)
+    better = np.empty(n_states, dtype=bool)
     for k, cls in enumerate(classes):
         new_dp = np.full(n_states, inf)
         choice = np.full(n_states, -1, dtype=np.int32)
@@ -241,14 +244,14 @@ def _solve_mckp_dp(
             w = discretize(item.weight)
             if w >= n_states:
                 continue
-            if w == 0:
-                candidate = dp + item.value
-            else:
-                candidate = np.full(n_states, inf)
-                candidate[w:] = dp[:-w] + item.value
-            better = candidate < new_dp
-            new_dp = np.where(better, candidate, new_dp)
-            choice[better] = j
+            # Item j lands on states w.. only (states below w stay
+            # unreachable through it), so it updates that tail in place.
+            span_n = n_states - w
+            cand = np.add(dp[:span_n], item.value, out=candidate[:span_n])
+            tail = new_dp[w:]
+            mask = np.less(cand, tail, out=better[:span_n])
+            np.copyto(tail, cand, where=mask)
+            np.copyto(choice[w:], j, where=mask)
         if not np.isfinite(new_dp).any():
             # Conservative rounding pushed every candidate past the
             # grid even though the continuous instance looked feasible.

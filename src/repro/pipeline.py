@@ -194,7 +194,7 @@ class DAEDVFSPipeline:
         )
 
     def clear_caches(self) -> None:
-        """Invalidate every memoized Step-2 result and layer trace.
+        """Invalidate every memoized Step-2 result, record and trace.
 
         Call after mutating the board, the design space, the trace
         params or the profiler in place (replacing the pipeline is the
@@ -204,6 +204,8 @@ class DAEDVFSPipeline:
         for memo in vars(self).values():
             if isinstance(memo, Memo):
                 memo.clear()
+        self.runtime.clear_cache()
+        self._tinyengine.clear_cache()
         self.tracer.clear_cache()
 
     def warm_start_from(
@@ -331,6 +333,11 @@ class DAEDVFSPipeline:
                 )
                 for item in picks
             }
+            energy = sum(item.value for item in picks)
+            if best_energy is not None and energy >= best_energy:
+                # A rung is kept only on a strict improvement, so one
+                # that cannot win is not replayed.
+                continue
             plan = DeploymentPlan(
                 model_name=model.name,
                 lfo=self.space.lfo,
@@ -339,17 +346,15 @@ class DAEDVFSPipeline:
                 predicted_latency_s=(
                     sum(i.weight for i in picks) + fixed_overhead_s
                 ),
-                predicted_energy_j=sum(i.value for i in picks),
+                predicted_energy_j=energy,
             )
             actual = self.runtime.measure_latency_s(
                 model, plan, initial_config=plan.initial_config()
             )
             if actual > budget:
                 continue
-            energy = sum(item.value for item in picks)
-            if best_energy is None or energy < best_energy:
-                best_energy = energy
-                best_plan = plan
+            best_energy = energy
+            best_plan = plan
         return best_plan
 
     # -- building blocks -------------------------------------------------------
@@ -704,17 +709,21 @@ class DAEDVFSPipeline:
                 tightest = min(tightest, err.min_latency_s + fixed)
                 continue
             plan = self._plan_from_solution(model, solution, budget, fixed)
+            if (
+                best is not None
+                and plan.predicted_energy_j >= best.predicted_energy_j
+            ):
+                # Cannot win (a rung is kept only on a strict
+                # improvement) and ``tightest`` is read only when no
+                # rung fits: skip the replay, keep the solve.
+                continue
             actual = self.runtime.measure_latency_s(
                 model, plan, initial_config=plan.initial_config()
             )
             if actual > budget:
                 tightest = min(tightest, actual)
                 continue
-            if (
-                best is None
-                or plan.predicted_energy_j < best.predicted_energy_j
-            ):
-                best = plan
+            best = plan
         if best is None:
             raise QoSInfeasibleError(
                 qos_s=budget,

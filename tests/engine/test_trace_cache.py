@@ -1,5 +1,7 @@
 """TraceBuilder memoization: identity, keying, invalidation."""
 
+import pickle
+
 import pytest
 
 from repro.dse import paper_design_space
@@ -112,6 +114,19 @@ class TestInvalidation:
         assert model_fingerprint(other) == model_fingerprint(tiny_model)
         other.name = "renamed"
         assert model_fingerprint(other) != model_fingerprint(tiny_model)
+
+    def test_fingerprint_is_its_plain_tuple(self, tiny_model):
+        """The hash-once key equals, and hashes like, the plain tuple.
+
+        It pickles as that plain tuple, so a checkpoint never carries
+        a string hash salted by another process.
+        """
+        fingerprint = model_fingerprint(tiny_model)
+        plain = tuple(fingerprint)
+        assert fingerprint == plain and hash(fingerprint) == hash(plain)
+        assert {plain: 1}[fingerprint] == 1
+        restored = pickle.loads(pickle.dumps(fingerprint))
+        assert type(restored) is tuple and restored == plain
 
     def test_equal_models_share_entries(self, board, tiny_model):
         """Structurally identical models hit the same cache entry."""

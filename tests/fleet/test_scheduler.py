@@ -196,6 +196,25 @@ class TestFaultIsolation:
         assert result.quarantined
         assert scheduler.quarantined == [fleet[0].device_id]
 
+    def test_second_run_lists_each_quarantined_device_once(
+        self, tiny, fleet
+    ):
+        from repro.faults import FaultPlan
+
+        scheduler = FleetScheduler(
+            tiny,
+            qos_level=MODERATE,
+            fault_plan=FaultPlan(watchdog_rate=1.0),
+            max_plan_attempts=1,
+        )
+        pair = fleet[:2]
+        expected = sorted(p.device_id for p in pair)
+        scheduler.run(pair)
+        assert scheduler.quarantined == expected
+        results = scheduler.run(pair)
+        assert all(r.quarantined for r in results)
+        assert scheduler.quarantined == expected
+
     def test_zero_rate_fault_plan_is_transparent(self, tiny, fleet):
         from repro.faults import FaultPlan
 

@@ -1,5 +1,8 @@
 """MCKP: DP solver optimality, transformation, edge cases."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,6 +194,107 @@ class TestSeededRandomInstances:
             checked += 1
         # The battery must actually exercise the bound, not skip it.
         assert checked >= 40
+
+
+def reference_dp_indices(classes, budget, resolution):
+    """The DP as plain loops: per class, per item, per state, strict <.
+
+    Same grid, same additions and the same first-index tie-breaks as
+    :func:`solve_mckp_dp`, so the selected indices must agree exactly.
+    """
+    step = budget / resolution
+    n_states = resolution + 1
+    inf = float("inf")
+    dp = [0.0] + [inf] * resolution
+    choices = []
+    for cls in classes:
+        new_dp = [inf] * n_states
+        choice = [-1] * n_states
+        for j, it in enumerate(cls):
+            w = int(math.ceil(it.weight / step - 1e-12))
+            for t in range(w, n_states):
+                candidate = dp[t - w] + it.value
+                if candidate < new_dp[t]:
+                    new_dp[t] = candidate
+                    choice[t] = j
+        dp = new_dp
+        choices.append(choice)
+    t = min(range(n_states), key=dp.__getitem__)
+    indices = []
+    for k in range(len(classes) - 1, -1, -1):
+        j = choices[k][t]
+        indices.append(j)
+        t -= int(math.ceil(classes[k][j].weight / step - 1e-12))
+    return indices[::-1]
+
+
+def selected_indices(classes, solution):
+    return [
+        next(j for j, candidate in enumerate(cls) if candidate is picked)
+        for cls, picked in zip(classes, solution.items)
+    ]
+
+
+class TestTieBreaks:
+    """Seeded instances full of duplicate weights and values.
+
+    Weights on the DP grid (integer weights, one state per unit) make
+    the DP exact, so it must return brute force's energy; among tied
+    selections it keeps the lowest item index, as the loop reference
+    does.
+    """
+
+    def tie_heavy_instance(self, rng):
+        classes = []
+        for _ in range(rng.randint(1, 5)):
+            cls = [
+                item(float(rng.randint(0, 6)), float(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            # Exact duplicates (equal, but distinct objects).
+            cls += [item(c.weight, c.value) for c in rng.sample(cls, 1)]
+            rng.shuffle(cls)
+            classes.append(cls)
+        return classes
+
+    def test_on_grid_matches_bruteforce_and_lowest_index(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            classes = self.tie_heavy_instance(rng)
+            budget = min_total_weight(classes) + rng.randint(1, 8)
+            resolution = int(budget)
+            dp = solve_mckp_dp(classes, budget=budget, resolution=resolution)
+            brute = solve_mckp_bruteforce(classes, budget=budget)
+            assert dp.total_value == brute.total_value
+            indices = selected_indices(classes, dp)
+            assert indices == reference_dp_indices(
+                classes, budget, resolution
+            )
+            for cls, j in zip(classes, indices):
+                twins = [
+                    i for i, c in enumerate(cls)
+                    if (c.weight, c.value) == (cls[j].weight, cls[j].value)
+                ]
+                assert j == twins[0]
+
+    def test_off_grid_matches_loop_reference(self):
+        rng = random.Random(0xDAE)
+        for _ in range(40):
+            classes = [
+                [
+                    item(
+                        rng.choice((0.5, 1.25, 2.0, 3.3)),
+                        rng.choice((1.0, 2.5)),
+                    )
+                    for _ in range(rng.randint(1, 5))
+                ]
+                for _ in range(rng.randint(1, 5))
+            ]
+            budget = min_total_weight(classes) * rng.uniform(1.0, 2.5)
+            dp = solve_mckp_dp(classes, budget=budget, resolution=97)
+            assert selected_indices(classes, dp) == reference_dp_indices(
+                classes, budget, 97
+            )
 
 
 class TestReprice:

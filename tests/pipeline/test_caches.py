@@ -1,7 +1,5 @@
 """Pipeline Step-2 caches and the refinement-loop budget regression."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro import DAEDVFSPipeline
@@ -130,14 +128,11 @@ class TestRefinementBudgetMonotonicity:
         """Runtime stub whose unpriced overhead grows every round."""
         state = {"round": 0}
 
-        def fake_run(model, plan, **kwargs):
+        def fake_measure(model, plan, **kwargs):
             state["round"] += 1
-            return SimpleNamespace(
-                latency_s=plan.predicted_latency_s
-                + per_round * state["round"]
-            )
+            return plan.predicted_latency_s + per_round * state["round"]
 
-        pipeline.runtime.run = fake_run
+        pipeline.runtime.measure_latency_s = fake_measure
         return state
 
     def recording_solver(self, pipeline):
@@ -186,10 +181,10 @@ class TestRefinementBudgetMonotonicity:
         pipeline = DAEDVFSPipeline(board=board)
         classes = self.synthetic_classes(pipeline)
 
-        def fake_run(model, plan, **kwargs):
-            return SimpleNamespace(latency_s=plan.predicted_latency_s + 0.02)
+        def fake_measure(model, plan, **kwargs):
+            return plan.predicted_latency_s + 0.02
 
-        pipeline.runtime.run = fake_run
+        pipeline.runtime.measure_latency_s = fake_measure
         budgets = self.recording_solver(pipeline)
         plan = pipeline._refine_free_plan(
             tiny_model, classes, conv_budget=1.0, budget=1.0, fixed=0.0
