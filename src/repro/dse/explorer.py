@@ -24,13 +24,18 @@ Pricing follows the runtime's execution discipline exactly:
 The explorer can optionally route its measurements through the
 simulated timer and INA219 sensor (:mod:`repro.profiling`) to mimic
 the paper's hardware profiling pipeline; by default it prices
-analytically, which is exact and fast.  Pricing a layer trace against
-*all* HFO candidates at once goes through
-:meth:`LayerCostModel.price_batch`, which aggregates the workloads
-once and broadcasts over the frequency/power vectors with numpy; the
-scalar :meth:`LayerCostModel.price` is kept as the reference oracle
-(a test pins their agreement to 1e-12 relative over the full paper
-grid).
+analytically, which is exact and fast.  A layer's whole (granularity,
+HFO) grid is priced in one vectorized pass: each granularity's trace
+is reduced to a power-independent :class:`TimeComponents` (workload
+totals summed run by run from the run-length trace, then broadcast
+over the HFO frequency vector), the sweep is stacked into a
+:class:`StackedComponents`, and
+:meth:`LayerCostModel.price_components_stacked` combines it with the
+board's power vectors.  The scalar :meth:`LayerCostModel.price` is
+kept as the reference oracle (tests pin the agreement to 1e-12
+relative over the full paper grid).  The fleet explorer
+(:class:`repro.fleet.pricing.SharedComponentExplorer`) takes the same
+path and only draws the stack from a fleet-wide memo.
 """
 
 from __future__ import annotations
@@ -164,12 +169,14 @@ class StackedComponents:
 class LayerCostModel:
     """Prices one layer trace under the LFO/HFO discipline.
 
-    :meth:`price` is the scalar reference oracle; :meth:`price_batch`
-    prices one trace against a whole vector of HFO candidates at once
-    (the DSE hot path) and agrees with the oracle to 1e-12 relative.
-    The batch path factors through :meth:`time_components_batch`, a
-    power-model-independent time decomposition that fleet deployments
-    share across devices whose timing models match.
+    :meth:`price` is the scalar reference oracle.  The vectorized
+    paths factor through :meth:`time_components_batch`, a
+    power-model-independent time decomposition of one trace against a
+    vector of HFO candidates, which fleet deployments share across
+    devices whose timing models match: :meth:`price_components_stacked`
+    prices a layer's stacked granularity sweep at once (the DSE hot
+    path), :meth:`price_batch` one trace.  Both agree with the oracle
+    to 1e-12 relative.
     """
 
     def __init__(self, board: Board):
@@ -259,34 +266,9 @@ class LayerCostModel:
         f_vec = self._power_vectors(hfos)["f"]
         n = len(hfos)
         if trace.is_decoupled:
-            # Aggregate with plain float accumulators -- the same
-            # addition order as a merged() chain (bit-identical), but
-            # without one intermediate SegmentWorkload per segment.
-            mem_cpu = mem_flash = mem_sram = 0.0
-            comp_cpu = comp_flash = comp_sram = 0.0
-            first_mem = None
-            for segment in trace.segments:
-                workload = segment.workload
-                if segment.kind is SegmentKind.MEMORY:
-                    if first_mem is None:
-                        first_mem = workload
-                    mem_cpu += workload.cpu_cycles
-                    mem_flash += workload.flash_bytes
-                    mem_sram += workload.sram_bytes
-                else:
-                    comp_cpu += workload.cpu_cycles
-                    comp_flash += workload.flash_bytes
-                    comp_sram += workload.sram_bytes
-            total_mem = SegmentWorkload(
-                cpu_cycles=mem_cpu,
-                flash_bytes=mem_flash,
-                sram_bytes=mem_sram,
-            )
-            total_comp = SegmentWorkload(
-                cpu_cycles=comp_cpu,
-                flash_bytes=comp_flash,
-                sram_bytes=comp_sram,
-            )
+            # Summed run by run, bit-identical to a per-segment walk.
+            total_mem, total_comp = trace.phase_workloads()
+            first_mem = trace.runs[0].segments[0].workload
             # Memory segments run at the LFO: one scalar time pair
             # shared by every candidate.
             mem_ct, mem_mt = core.segment_time_parts(
@@ -296,7 +278,7 @@ class LayerCostModel:
                 total_comp, f_vec
             )
             extra = 0.0
-            if assume_relock and first_mem is not None:
+            if assume_relock:
                 first_mem_t = core.segment_time_s(first_mem, lfo.sysclk_hz)
                 extra += max(0.0, switch.pll_relock_s - first_mem_t)
             extra_t = extra + trace.mux_switch_count() * switch.mux_switch_s
@@ -557,6 +539,11 @@ def layer_intervals(
 class DSEExplorer:
     """Sweeps the design space per layer (paper Step 2A/2B input).
 
+    Each layer's granularity sweep is decomposed per granularity
+    (:meth:`_components_for`), stacked (:meth:`_stacked_components`)
+    and priced in one :meth:`LayerCostModel.price_components_stacked`
+    call; subclasses change only where the stack comes from.
+
     Args:
         board: the simulated board.
         space: granularities and clock candidates.
@@ -625,14 +612,52 @@ class DSEExplorer:
             latency = npu.layer_latency_s(macs)
             energy = npu.layer_energy_j(macs)
             return self._points(node, [(0, [latency] * n, [energy] * n)])
-        rows = []
-        for g in granularities:
-            trace = self.tracer.build(model, node, g)
-            latencies, energies = self.pricer.price_batch(
-                trace, hfos, self.space.lfo, assume_relock=assume_relock
-            )
-            rows.append((trace.granularity, latencies, energies))
-        return self._points(node, rows)
+        stacked = self._stacked_components(
+            model, node, granularities, assume_relock
+        )
+        latencies, energies = self.pricer.price_components_stacked(
+            stacked, hfos, self.space.lfo
+        )
+        return self._points(
+            node,
+            zip(
+                stacked.effective_granularities,
+                latencies.tolist(),
+                energies.tolist(),
+            ),
+        )
+
+    def _components_for(
+        self,
+        model: Model,
+        node: Node,
+        granularity: int,
+        assume_relock: bool,
+    ) -> Tuple[TimeComponents, int]:
+        """One granularity's time decomposition and the trace-clamped
+        granularity it realizes."""
+        trace = self.tracer.build(model, node, granularity)
+        components = self.pricer.time_components_batch(
+            trace, self.space.hfo_configs, self.space.lfo,
+            assume_relock=assume_relock,
+        )
+        return components, trace.granularity
+
+    def _stacked_components(
+        self,
+        model: Model,
+        node: Node,
+        granularities: Tuple[int, ...],
+        assume_relock: bool,
+    ) -> StackedComponents:
+        """The layer's whole granularity sweep, stacked for one
+        vectorized pricing pass."""
+        return StackedComponents.stack(
+            [
+                self._components_for(model, node, g, assume_relock)
+                for g in granularities
+            ]
+        )
 
     def _sweep(self, model: Model, node: Node) -> Optional[Tuple[int, ...]]:
         """The layer's granularity sweep, or ``None`` for an NPU layer.
@@ -661,7 +686,9 @@ class DSEExplorer:
 
     def _points(self, node: Node, rows) -> List[SolutionPoint]:
         """One point per (row, HFO); each row is (effective granularity,
-        per-HFO latencies, per-HFO energies)."""
+        per-HFO latencies, per-HFO energies) as plain ``float`` lists
+        (``ndarray.tolist()``): points must not carry numpy scalars,
+        whose ``repr`` differs from a float's."""
         return [
             SolutionPoint(
                 node_id=node.node_id,
@@ -669,8 +696,8 @@ class DSEExplorer:
                 layer_kind=node.layer.kind,
                 granularity=g,
                 hfo=hfo,
-                latency_s=float(latency),
-                energy_j=float(energy),
+                latency_s=latency,
+                energy_j=energy,
             )
             for g, latencies, energies in rows
             for hfo, latency, energy in zip(

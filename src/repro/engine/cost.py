@@ -50,7 +50,7 @@ from ..mcu.core import CoreTimingParams, SegmentWorkload
 from ..memo import Memo
 from ..nn.graph import Model, Node
 from ..nn.layers.base import LayerKind, Shape
-from .trace import LayerTrace, ModelTrace, Segment, SegmentKind
+from .trace import LayerTrace, ModelTrace, Segment, SegmentKind, SegmentRun
 
 #: The paper's explored granularities (Sec. III-B); 0 = no DAE.
 PAPER_GRANULARITIES = (0, 2, 4, 8, 12, 16)
@@ -168,21 +168,26 @@ class TraceParams:
             raise TraceError("cycle overheads must be >= 0")
 
 
-def _group_sizes(total: int, g: int) -> List[int]:
-    """Split ``total`` units into groups of ``g`` (last may be short)."""
+def _group_runs(total: int, g: int) -> List[Tuple[int, int]]:
+    """Split ``total`` units into groups of ``g``, as (group size,
+    repeat count) runs: the full groups, then a short last group."""
     if g <= 0:
         raise TraceError("grouping requires g > 0")
     full, rest = divmod(total, g)
-    sizes = [g] * full
+    runs = [(g, full)] if full else []
     if rest:
-        sizes.append(rest)
-    return sizes
+        runs.append((rest, 1))
+    return runs
 
 
 class TraceBuilder:
     """Builds layer/model traces against one board description.
 
-    Traces are pure functions of (board, params, model structure, node,
+    A DAE trace is built run-length encoded (see
+    :class:`~repro.engine.trace.LayerTrace`): one (memory, compute)
+    pair for the full groups with their count, plus one for a short
+    last group, so building it costs O(1) whatever its iteration
+    count.  Traces are pure functions of (board, params, model structure, node,
     granularity), so by default every built trace is memoized and the
     same :class:`~repro.engine.trace.LayerTrace` instance is returned
     on repeat requests -- the DSE sweep, the pipeline's fixed-overhead
@@ -268,20 +273,16 @@ class TraceBuilder:
         kind = node.layer.kind
         if granularity > 0 and node.layer.supports_dae:
             if kind is LayerKind.DEPTHWISE_CONV:
-                segments, iterations = self._depthwise_dae(
-                    node, input_shapes, granularity
-                )
+                runs = self._depthwise_dae(node, input_shapes, granularity)
             else:
-                segments, iterations = self._pointwise_dae(
-                    node, input_shapes, granularity
-                )
+                runs = self._pointwise_dae(node, input_shapes, granularity)
             return LayerTrace(
                 node_id=node.node_id,
                 layer_name=node.layer.name,
                 layer_kind=kind,
                 granularity=granularity,
-                segments=segments,
-                iterations=iterations,
+                runs=runs,
+                iterations=sum(run.count for run in runs),
             )
         return LayerTrace(
             node_id=node.node_id,
@@ -436,7 +437,7 @@ class TraceBuilder:
 
     def _depthwise_dae(
         self, node: Node, input_shapes: Tuple[Shape, ...], g: int
-    ) -> Tuple[List[Segment], int]:
+    ) -> List[SegmentRun]:
         layer = node.layer
         (in_shape,) = input_shapes
         h, w, c = in_shape
@@ -444,56 +445,53 @@ class TraceBuilder:
         in_b, out_b = h * w, out_h * out_w
         weight_b = layer.kernel * layer.kernel + 4
         macs_per_channel = out_b * layer.kernel * layer.kernel
-        segments: List[Segment] = []
-        sizes = _group_sizes(c, g)
-        # All full groups produce identical (immutable) segment pairs;
-        # build one pair per distinct group size and share it.
-        pair_for_size: Dict[int, Tuple[Segment, Segment]] = {}
-        for gi in sizes:
-            pair = pair_for_size.get(gi)
-            if pair is None:
-                # Memory-bound: burst-copy gi channel maps into the
-                # buffer and stream the group's filters from flash.
-                mem = SegmentWorkload(
-                    cpu_cycles=self._timing.loop_overhead_cycles,
-                    flash_bytes=gi * weight_b,
-                    sram_bytes=2.0 * gi * in_b / self.params.burst_factor,
-                )
-                # Compute-bound: MACs out of warm buffers.  An
-                # overflowing working set evicts buffered channels
-                # before use and the scattered re-fetch cost comes back.
-                working_set = gi * (in_b + out_b + weight_b)
-                refetch = self._cache.refetch_fraction(working_set)
-                compute = SegmentWorkload(
-                    cpu_cycles=(
-                        gi * macs_per_channel
-                        * self._timing.cycles_per_mac_depthwise
-                        + gi * out_b * self._timing.cycles_per_output_byte
-                        + self._timing.loop_overhead_cycles
-                    ),
-                    flash_bytes=0.0,
-                    sram_bytes=gi * out_b
-                    + refetch * self.params.reuse_dw * gi * in_b,
-                )
-                pair = (
+        runs: List[SegmentRun] = []
+        # One (memory, compute) pair per distinct group size: the full
+        # groups repeat one pair, a short last group gets its own.
+        for gi, count in _group_runs(c, g):
+            # Memory-bound: burst-copy gi channel maps into the buffer
+            # and stream the group's filters from flash.
+            mem = SegmentWorkload(
+                cpu_cycles=self._timing.loop_overhead_cycles,
+                flash_bytes=gi * weight_b,
+                sram_bytes=2.0 * gi * in_b / self.params.burst_factor,
+            )
+            # Compute-bound: MACs out of warm buffers.  An overflowing
+            # working set evicts buffered channels before use and the
+            # scattered re-fetch cost comes back.
+            working_set = gi * (in_b + out_b + weight_b)
+            refetch = self._cache.refetch_fraction(working_set)
+            compute = SegmentWorkload(
+                cpu_cycles=(
+                    gi * macs_per_channel
+                    * self._timing.cycles_per_mac_depthwise
+                    + gi * out_b * self._timing.cycles_per_output_byte
+                    + self._timing.loop_overhead_cycles
+                ),
+                flash_bytes=0.0,
+                sram_bytes=gi * out_b
+                + refetch * self.params.reuse_dw * gi * in_b,
+            )
+            runs.append(SegmentRun(
+                (
                     Segment(kind=SegmentKind.MEMORY, workload=mem),
                     Segment(kind=SegmentKind.COMPUTE, workload=compute),
-                )
-                pair_for_size[gi] = pair
-            segments.extend(pair)
-        return segments, len(sizes)
+                ),
+                count,
+            ))
+        return runs
 
     def _pointwise_dae(
         self, node: Node, input_shapes: Tuple[Shape, ...], g: int
-    ) -> Tuple[List[Segment], int]:
+    ) -> List[SegmentRun]:
         layer = node.layer
         (in_shape,) = input_shapes
         h, w, c_in = in_shape
         c_out = layer.out_channels
         positions = h * w
         weight_bytes = c_in * c_out + 4 * c_out
-        sizes = _group_sizes(positions, g)
-        n_groups = len(sizes)
+        group_runs = _group_runs(positions, g)
+        n_groups = sum(count for _, count in group_runs)
         # One weight pass per column group; passes beyond the first only
         # re-stream the fraction of the matrix the cache could not hold.
         buffer_ws = g * (c_in + c_out)
@@ -502,35 +500,31 @@ class TraceBuilder:
         )
         weight_flash_per_group = total_weight_flash / n_groups
         activation_refetch = self._cache.refetch_fraction(buffer_ws)
-        segments: List[Segment] = []
-        # Full groups share one immutable segment pair per distinct
-        # size (only the last group can differ).
-        pair_for_size: Dict[int, Tuple[Segment, Segment]] = {}
-        for gi in sizes:
-            pair = pair_for_size.get(gi)
-            if pair is None:
-                mem = SegmentWorkload(
-                    cpu_cycles=self._timing.loop_overhead_cycles,
-                    flash_bytes=0.0,
-                    sram_bytes=2.0 * gi * c_in / self.params.burst_factor,
-                )
-                compute = SegmentWorkload(
-                    cpu_cycles=(
-                        gi * c_in * c_out * self._timing.cycles_per_mac_pointwise
-                        + gi * self.params.column_overhead_cycles
-                        + gi * c_out * self._timing.cycles_per_output_byte
-                        + self._timing.loop_overhead_cycles
-                    ),
-                    flash_bytes=weight_flash_per_group,
-                    sram_bytes=gi * c_out + activation_refetch * gi * c_in,
-                )
-                pair = (
+        runs: List[SegmentRun] = []
+        for gi, count in group_runs:
+            mem = SegmentWorkload(
+                cpu_cycles=self._timing.loop_overhead_cycles,
+                flash_bytes=0.0,
+                sram_bytes=2.0 * gi * c_in / self.params.burst_factor,
+            )
+            compute = SegmentWorkload(
+                cpu_cycles=(
+                    gi * c_in * c_out * self._timing.cycles_per_mac_pointwise
+                    + gi * self.params.column_overhead_cycles
+                    + gi * c_out * self._timing.cycles_per_output_byte
+                    + self._timing.loop_overhead_cycles
+                ),
+                flash_bytes=weight_flash_per_group,
+                sram_bytes=gi * c_out + activation_refetch * gi * c_in,
+            )
+            runs.append(SegmentRun(
+                (
                     Segment(kind=SegmentKind.MEMORY, workload=mem),
                     Segment(kind=SegmentKind.COMPUTE, workload=compute),
-                )
-                pair_for_size[gi] = pair
-            segments.extend(pair)
-        return segments, n_groups
+                ),
+                count,
+            ))
+        return runs
 
     # -- shared helpers -------------------------------------------------------------
 

@@ -591,16 +591,11 @@ class DVFSRuntime:
             )
         mux = 0
         background_relocks = 0
-        segments = trace.segments
-        if len(segments) != 2 * trace.iterations:
-            raise TraceError(
-                f"layer {trace.layer_name!r}: malformed decoupled trace"
-            )
         # --- first iteration: drives the real RCC state machine --------
         # All switch stalls are priced at the LFO switching power: the
         # core is parked on (or transitioning through) the HSE while
         # the mux handshakes and the PLL hunts for lock.
-        mem_seg, comp_seg = segments[0], segments[1]
+        mem_seg, comp_seg = trace.runs[0].segments
         # ClockSwitchHSE (Listing 1, line 3): park the mux on the HSE.
         # Under an injected HSE dropout the CSS parks it on the HSI
         # failsafe instead, so the landed config (rcc.current) prices
@@ -630,39 +625,29 @@ class DVFSRuntime:
             # core runs from the HSI.  Finish the layer there -- no
             # LFO/HFO bouncing is possible without the HSE -- charging
             # every remaining segment at the failsafe clock.
-            for segment in segments[1:]:
+            for segment in trace.segments[1:]:
                 self._charge_segment(segment, rcc.current, account, report)
             return mux, background_relocks
         self._charge_segment(comp_seg, hfo, account, report)
         # --- remaining iterations: identical LFO<->HFO bounces ---------
         # The RCC state no longer changes (the PLL stays programmed),
-        # so identical (memory, compute) pairs are charged in batches.
-        remaining = trace.iterations - 1
-        if remaining > 0:
-            pairs: Dict[tuple, int] = {}
-            order: List[tuple] = []
-            for i in range(1, trace.iterations):
-                key = (segments[2 * i].workload, segments[2 * i + 1].workload)
-                if key not in pairs:
-                    pairs[key] = 0
-                    order.append(key)
-                pairs[key] += 1
-            mux_cost = self.board.switch_cost_model.mux_switch_s
-            for key in order:
-                count = pairs[key]
-                mem_workload, comp_workload = key
-                self._charge_switch(
-                    2 * count * mux_cost, lfo, account, report
-                )
-                mux += 2 * count
-                self._charge_segment_batch(
-                    mem_workload, count, lfo, SegmentKind.MEMORY,
-                    account, report,
-                )
-                self._charge_segment_batch(
-                    comp_workload, count, hfo, SegmentKind.COMPUTE,
-                    account, report,
-                )
+        # so each run's remaining pairs are charged in one batch.
+        mux_cost = self.board.switch_cost_model.mux_switch_s
+        for i, run in enumerate(trace.runs):
+            count = run.count - 1 if i == 0 else run.count
+            if count == 0:
+                continue
+            mem_seg, comp_seg = run.segments
+            self._charge_switch(2 * count * mux_cost, lfo, account, report)
+            mux += 2 * count
+            self._charge_segment_batch(
+                mem_seg.workload, count, lfo, SegmentKind.MEMORY,
+                account, report,
+            )
+            self._charge_segment_batch(
+                comp_seg.workload, count, hfo, SegmentKind.COMPUTE,
+                account, report,
+            )
         return mux, background_relocks
 
     def _charge_segment_batch(

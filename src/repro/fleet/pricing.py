@@ -51,12 +51,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock.configs import ClockConfig
-from ..dse.explorer import (
-    DSEExplorer,
-    SolutionPoint,
-    StackedComponents,
-    TimeComponents,
-)
+from ..dse.explorer import DSEExplorer, StackedComponents, TimeComponents
 from ..dse.space import DesignSpace, board_design_space
 from ..engine.cost import TraceBuilder, TraceParams, model_fingerprint
 from ..engine.runtime import DVFSRuntime, IdlePolicy, InferenceReport
@@ -120,10 +115,11 @@ class SharedComponentExplorer(DSEExplorer):
     """Explorer backed by a fleet-shared time-decomposition cache.
 
     Per device it owns only a :class:`LayerCostModel` (the power
-    vectors); traces and :class:`TimeComponents` come from the shared
-    state.  Produces bit-identical clouds to a plain
-    :class:`DSEExplorer` because ``price_batch`` already factors
-    through exactly these two halves.
+    vectors); traces, :class:`TimeComponents` and the stacked sweeps
+    come from the shared state.  It overrides only where a layer's
+    stack comes from, so it prices through the base explorer's own
+    stacked path and produces bit-identical clouds to a plain
+    :class:`DSEExplorer`.
     """
 
     def __init__(
@@ -152,16 +148,10 @@ class SharedComponentExplorer(DSEExplorer):
             granularity,
             assume_relock,
         )
-
-        def decompose() -> Tuple[TimeComponents, int]:
-            trace = self.tracer.build(model, node, granularity)
-            components = self.pricer.time_components_batch(
-                trace, self.space.hfo_configs, self.space.lfo,
-                assume_relock=assume_relock,
-            )
-            return components, trace.granularity
-
-        return self._shared.components.get(key, decompose)
+        return self._shared.components.get(
+            key, super()._components_for,
+            model, node, granularity, assume_relock,
+        )
 
     def _stacked_components(
         self,
@@ -177,39 +167,15 @@ class SharedComponentExplorer(DSEExplorer):
             assume_relock,
         )
         return self._shared.stacks.get(
-            key,
-            lambda: StackedComponents.stack(
-                [
-                    self._components_for(model, node, g, assume_relock)
-                    for g in granularities
-                ]
-            ),
+            key, super()._stacked_components,
+            model, node, granularities, assume_relock,
         )
 
-    def explore_layer(
-        self,
-        model: Model,
-        node: Node,
-        assume_relock: bool = False,
-    ) -> List[SolutionPoint]:
-        """Same contract as the base explorer, via the shared cache."""
-        granularities = self._sweep(model, node)
-        if granularities is None:
-            # NPU points carry no TimeComponents (nothing to decompose:
-            # the latency/energy are fixed), so the shared cache buys
-            # nothing -- price directly through the base explorer.
-            return super().explore_layer(
-                model, node, assume_relock=assume_relock
-            )
-        stacked = self._stacked_components(
-            model, node, granularities, assume_relock
-        )
-        latencies, energies = self.pricer.price_components_stacked(
-            stacked, self.space.hfo_configs, self.space.lfo
-        )
-        return self._points(
-            node, zip(stacked.effective_granularities, latencies, energies)
-        )
+    # The base explore_layer, bound on this class too so that a
+    # per-class wrapper (perfbench's layer timing) times the fleet
+    # explorer apart from the base one; only the stack source above
+    # differs.
+    explore_layer = DSEExplorer.explore_layer
 
 
 class ReplayingRuntime(DVFSRuntime):

@@ -193,11 +193,13 @@ def solve_mckp_dp(
         budget: the QoS latency budget in seconds.
         resolution: number of time-grid steps the budget is split into;
             larger = closer to the continuous optimum, cost grows
-            linearly.
+            linearly.  Each class sweeps only its feasible band of
+            states (see :func:`_solve_mckp_dp`).
 
     Returns:
         The minimum-energy selection whose (real-valued) total weight
-        respects the budget.
+        respects the budget.  Under a zero budget only zero-weight
+        items fit.
 
     Raises:
         QoSInfeasibleError: when even the per-class minimum weights
@@ -215,6 +217,20 @@ def _solve_mckp_dp(
     budget: float,
     resolution: int,
 ) -> MCKPSolution:
+    """The grid DP, restricted to each class's feasible band.
+
+    Weights are rounded up to ``budget / resolution`` steps.  After
+    class ``k`` a state (total steps so far) can only matter if it is
+    at least ``L_k`` (the classes' minimum steps so far, below which no
+    state is reachable) and at most ``resolution - R_k`` (``R_k``: the
+    later classes' minimum steps, above which no completion fits).
+    Every band is ``resolution - sum(min steps) + 1`` states wide, so
+    the DP allocates, adds and compares only that many per item, not
+    ``resolution + 1``.  Inside the band it performs the full-grid
+    DP's operations in the same order (same strict ``<``, same item
+    order), so its choice tables and argmin -- hence the selection and
+    every exception -- are the full-grid DP's.
+    """
     _validate_classes(classes)
     if budget < 0:
         raise SolverError(f"budget must be >= 0, got {budget}")
@@ -224,56 +240,70 @@ def _solve_mckp_dp(
     if tightest > budget:
         raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
 
-    step = budget / resolution if budget > 0 else 1.0
+    step = budget / resolution
     n_states = resolution + 1
 
     def discretize(weight: float) -> int:
-        return int(math.ceil(weight / step - 1e-12))
+        # Weights past the grid -- every positive weight when the
+        # budget is 0 -- land on n_states, which no state can hold.
+        if weight == 0:
+            return 0
+        if step == 0:
+            return n_states
+        units = weight / step - 1e-12
+        return int(math.ceil(units)) if units < n_states else n_states
+
+    steps = [[discretize(item.weight) for item in cls] for cls in classes]
+    floors = [min(ws) for ws in steps]
+    width = n_states - sum(floors)
+    if width <= 0:
+        # Conservative rounding pushed every selection past the grid
+        # even though the continuous instance looked feasible.
+        raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
 
     inf = float("inf")
-    dp = np.full(n_states, inf)
+    # Band k holds states floor_0 + ... + floor_k + (0 .. width-1).
+    dp = np.full(width, inf)
     dp[0] = 0.0
     choices: List[np.ndarray] = []
     # Scratch rows for one item's candidates, reused across items.
-    candidate = np.empty(n_states)
-    better = np.empty(n_states, dtype=bool)
+    candidate = np.empty(width)
+    better = np.empty(width, dtype=bool)
     for k, cls in enumerate(classes):
-        new_dp = np.full(n_states, inf)
-        choice = np.full(n_states, -1, dtype=np.int32)
+        new_dp = np.full(width, inf)
+        choice = np.full(width, -1, dtype=np.int32)
         for j, item in enumerate(cls):
-            w = discretize(item.weight)
-            if w >= n_states:
+            # Item j shifts the band by its steps above the class floor
+            # and lands on band states d.. only.
+            d = steps[k][j] - floors[k]
+            if d >= width:
                 continue
-            # Item j lands on states w.. only (states below w stay
-            # unreachable through it), so it updates that tail in place.
-            span_n = n_states - w
+            span_n = width - d
             cand = np.add(dp[:span_n], item.value, out=candidate[:span_n])
-            tail = new_dp[w:]
+            tail = new_dp[d:]
             mask = np.less(cand, tail, out=better[:span_n])
             np.copyto(tail, cand, where=mask)
-            np.copyto(choice[w:], j, where=mask)
+            np.copyto(choice[d:], j, where=mask)
         if not np.isfinite(new_dp).any():
-            # Conservative rounding pushed every candidate past the
-            # grid even though the continuous instance looked feasible.
+            # Only non-finite item values can leave a band all-infinite.
             raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
         dp = new_dp
         choices.append(choice)
 
     # dp is not necessarily monotone per-state, so take the best state.
     best_t = int(np.argmin(dp))
-    best = dp[best_t]
-    if not math.isfinite(best):
+    if not math.isfinite(dp[best_t]):
         raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
-    # Reconstruct the selection backwards through the choice tables.
+    # Reconstruct the selection backwards through the choice tables;
+    # band offsets cancel, since t moves by d = steps - floor.
     selected: List[MCKPItem] = []
     t = best_t
     for k in range(len(classes) - 1, -1, -1):
         j = int(choices[k][t])
         if j < 0:
             raise SolverError("DP reconstruction failed (corrupt tables)")
-        item = classes[k][j]
-        selected.append(item)
-        t -= discretize(item.weight)
+        selected.append(classes[k][j])
+        t -= steps[k][j] - floors[k]
     selected.reverse()
     return MCKPSolution(items=selected)
 

@@ -109,29 +109,31 @@ class TestExplorerUsesBatch:
             assert point.latency_s == pytest.approx(lat, rel=REL_TOL)
             assert point.energy_j == pytest.approx(en, rel=REL_TOL)
 
-    def test_one_batch_call_per_layer_granularity(
+    def test_one_stacked_pricing_per_layer(
         self, board, space, tiny_model, monkeypatch
     ):
-        """The explore speedup as a count: every (layer, g) prices its
-        whole HFO row in one ``price_batch`` call, never per HFO."""
-        batch_calls = []
-        price_batch = LayerCostModel.price_batch
+        """The explore speedup as a count: every layer prices its whole
+        (granularity, HFO) grid in one stacked call, never per HFO."""
+        stacked_rows = []
+        price_stacked = LayerCostModel.price_components_stacked
 
-        def counted(self, trace, *args, **kwargs):
-            batch_calls.append(trace.granularity)
-            return price_batch(self, trace, *args, **kwargs)
+        def counted(self, stacked, *args, **kwargs):
+            stacked_rows.append(len(stacked.effective_granularities))
+            return price_stacked(self, stacked, *args, **kwargs)
 
         def scalar(*args, **kwargs):
             raise AssertionError("explorer fell back to scalar pricing")
 
-        monkeypatch.setattr(LayerCostModel, "price_batch", counted)
+        monkeypatch.setattr(
+            LayerCostModel, "price_components_stacked", counted
+        )
         monkeypatch.setattr(LayerCostModel, "price", scalar)
         clouds = DSEExplorer(board, space).explore_model(tiny_model)
-        rows = sum(
+        expected_rows = [
             len(space.granularities) if node.layer.supports_dae else 1
             for node in tiny_model.conv_nodes()
-        )
-        assert len(batch_calls) == rows
+        ]
+        assert stacked_rows == expected_rows
         assert sum(len(points) for points in clouds.values()) == (
-            rows * len(space.hfo_configs)
+            sum(expected_rows) * len(space.hfo_configs)
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import SegmentKind, TraceBuilder, TraceParams
-from repro.engine.cost import PAPER_GRANULARITIES, _group_sizes
+from repro.engine.cost import PAPER_GRANULARITIES, _group_runs
 from repro.errors import TraceError
 from repro.nn import LayerKind, build_tiny_test_model
 
@@ -21,18 +21,20 @@ def node_of_kind(model, kind):
 
 
 class TestGroupSizes:
+    """Groups come as (size, repeat count) runs."""
+
     def test_exact_division(self):
-        assert _group_sizes(16, 4) == [4, 4, 4, 4]
+        assert _group_runs(16, 4) == [(4, 4)]
 
     def test_remainder_group(self):
-        assert _group_sizes(10, 4) == [4, 4, 2]
+        assert _group_runs(10, 4) == [(4, 2), (2, 1)]
 
     def test_granularity_larger_than_total(self):
-        assert _group_sizes(3, 16) == [3]
+        assert _group_runs(3, 16) == [(3, 1)]
 
     def test_zero_granularity_rejected(self):
         with pytest.raises(TraceError):
-            _group_sizes(10, 0)
+            _group_runs(10, 0)
 
 
 class TestFusedTraces:
